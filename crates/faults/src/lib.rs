@@ -950,6 +950,16 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// A campaign resets and quarantines the process-global tier health,
+    /// so tests that run one serialize on this lock: two campaigns
+    /// running side by side would see each other's quarantines.
+    static HEALTH_LOCK: Mutex<()> = Mutex::new(());
+
+    fn health_guard() -> MutexGuard<'static, ()> {
+        HEALTH_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn rng_is_deterministic() {
@@ -971,6 +981,7 @@ mod tests {
 
     #[test]
     fn smoke_campaign_is_clean_and_deterministic() {
+        let _g = health_guard();
         let cfg = CampaignConfig::smoke(7);
         let r1 = run_campaign(&cfg);
         // Every at-rest fault in a checksummed region must be detected
@@ -986,6 +997,7 @@ mod tests {
 
     #[test]
     fn kv_sweep_covers_both_page_modes_and_heals_every_hit() {
+        let _g = health_guard();
         let cfg = CampaignConfig::smoke(23);
         let r = run_campaign(&cfg);
         for mode in ["KvArena[fp32]", "KvArena[q4-opt]"] {
@@ -1016,6 +1028,7 @@ mod tests {
 
     #[test]
     fn at_rest_sweep_covers_every_engine_roster_site() {
+        let _g = health_guard();
         let cfg = CampaignConfig::smoke(11);
         let r = run_campaign(&cfg);
         for (engine, _) in roster() {

@@ -485,59 +485,90 @@ impl QuantizedLm {
         Ok(y)
     }
 
-    /// Attention with optional KV-cache quantization.
-    fn try_attention(&self, qb: &QuantBlock, h: &[f32], s: usize) -> Result<Vec<f32>, GemmError> {
+    /// The one transformer block loop behind every forward entry point:
+    /// embeds the stacked rows (`tokens[r]` at absolute position
+    /// `pos[r]`), runs every block over them, and returns the
+    /// `tokens.len() × vocab` logits rows. Each dense stage — embeddings,
+    /// LayerNorm, the prepared GEMMs, bias adds, residuals — computes
+    /// every output row from its own activation row only (see
+    /// `axcore::engines::prepared`). The one step that varies between
+    /// callers is `context(layer, q, k, v)`, which turns a layer's
+    /// stacked Q/K/V rows into its attention-context rows.
+    fn try_forward_rows<E: From<GemmError>>(
+        &self,
+        tokens: &[usize],
+        pos: &[usize],
+        mut context: impl FnMut(usize, &[f32], &[f32], &[f32]) -> Result<Vec<f32>, E>,
+    ) -> Result<Vec<f32>, E> {
+        let act = self.src.cfg.act;
+        let m = tokens.len();
+        let te = self.src.tok_emb.forward_infer(tokens);
+        let pe = self.src.pos_emb.forward_infer(pos);
+        let mut x: Vec<f32> = te.iter().zip(&pe).map(|(a, b)| a + b).collect();
+        for (li, (b, qb)) in self.src.blocks.iter().zip(&self.blocks).enumerate() {
+            let h = b.ln1.forward_infer(&x, m);
+            let q = self.try_linear(&qb.wq, &h, m)?;
+            let k = self.try_linear(&qb.wk, &h, m)?;
+            let v = self.try_linear(&qb.wv, &h, m)?;
+            let ctx = context(li, &q, &k, &v)?;
+            let a = self.try_linear(&qb.wo, &ctx, m)?;
+            let x1: Vec<f32> = x.iter().zip(&a).map(|(p, q)| p + q).collect();
+            let h2 = b.ln2.forward_infer(&x1, m);
+            let f = self.try_linear(&qb.fc1, &h2, m)?;
+            let g: Vec<f32> = f.iter().map(|&v| apply_act(act, v)).collect();
+            let o = self.try_linear(&qb.fc2, &g, m)?;
+            x = x1.iter().zip(&o).map(|(p, q)| p + q).collect();
+        }
+        let h = self.src.ln_f.forward_infer(&x, m);
+        Ok(self.src.head.try_forward_infer(&h, m)?)
+    }
+
+    /// Whole-window causal attention context over rows `0..s`, with the
+    /// scheme's whole-matrix KV re-quantization (`Scheme::AxCoreKv`,
+    /// Tender): each head's K/V caches are quantized per call and
+    /// multiplied on the cached KV engine — the Table-2 measurement
+    /// path.
+    fn try_window_context(&self, q: &[f32], k: &[f32], v: &[f32]) -> Result<Vec<f32>, GemmError> {
         let cfg = &self.src.cfg;
         let d = cfg.d_model;
         let nh = cfg.n_heads;
         let dh = d / nh;
-        let q = self.try_linear(&qb.wq, h, s)?;
-        let k = self.try_linear(&qb.wk, h, s)?;
-        let v = self.try_linear(&qb.wv, h, s)?;
-        let ctx = match &self.kv {
-            None => crate::attention::attention_context(&q, &k, &v, s, d, nh, dh),
-            Some(kvcfg) => {
-                let scale = 1.0 / (dh as f32).sqrt();
-                let mut ctx = vec![0f32; s * d];
-                for hd in 0..nh {
-                    // K cache for this head: dh × s (accumulate over dh).
-                    let mut kc = vec![0f32; dh * s];
-                    let mut vc = vec![0f32; s * dh];
-                    let mut qh = vec![0f32; s * dh];
-                    for i in 0..s {
-                        for e in 0..dh {
-                            kc[e * s + i] = k[i * d + hd * dh + e];
-                            vc[i * dh + e] = v[i * d + hd * dh + e];
-                            qh[i * dh + e] = q[i * d + hd * dh + e];
-                        }
-                    }
-                    let kq = kvcfg.quantize_k(&kc, dh, s);
-                    let vq = kvcfg.quantize_v(&vc, s, dh);
-                    let mut scores = vec![0f32; s * s];
-                    self.engine_for_kv().try_gemm(&qh, s, &kq, &mut scores)?;
-                    for sc in scores.iter_mut() {
-                        *sc *= scale;
-                    }
-                    causal_softmax(&mut scores, s);
-                    let mut hctx = vec![0f32; s * dh];
-                    self.engine_for_kv().try_gemm(&scores, s, &vq, &mut hctx)?;
-                    for i in 0..s {
-                        for e in 0..dh {
-                            ctx[i * d + hd * dh + e] = hctx[i * dh + e];
-                        }
-                    }
-                }
-                ctx
-            }
+        let s = q.len() / d;
+        let Some(kvcfg) = &self.kv else {
+            return Ok(crate::attention::attention_context(q, k, v, s, d, nh, dh));
         };
-        self.try_linear(&qb.wo, &ctx, s)
-    }
-
-    /// The engine used for KV-cache GEMMs: AxCore's own datapath for
-    /// AxCore-KV; Tender uses its integer engine with INT KV formats
-    /// (KV4). Built once at [`quantize_model`] time.
-    fn engine_for_kv(&self) -> &dyn GemmEngine {
-        &*self.kv_engine
+        let kv_engine = &*self.kv_engine;
+        let scale = 1.0 / (dh as f32).sqrt();
+        let mut ctx = vec![0f32; s * d];
+        for hd in 0..nh {
+            // K cache for this head: dh × s (accumulate over dh).
+            let mut kc = vec![0f32; dh * s];
+            let mut vc = vec![0f32; s * dh];
+            let mut qh = vec![0f32; s * dh];
+            for i in 0..s {
+                for e in 0..dh {
+                    kc[e * s + i] = k[i * d + hd * dh + e];
+                    vc[i * dh + e] = v[i * d + hd * dh + e];
+                    qh[i * dh + e] = q[i * d + hd * dh + e];
+                }
+            }
+            let kq = kvcfg.quantize_k(&kc, dh, s);
+            let vq = kvcfg.quantize_v(&vc, s, dh);
+            let mut scores = vec![0f32; s * s];
+            kv_engine.try_gemm(&qh, s, &kq, &mut scores)?;
+            for sc in scores.iter_mut() {
+                *sc *= scale;
+            }
+            causal_softmax(&mut scores, s);
+            let mut hctx = vec![0f32; s * dh];
+            kv_engine.try_gemm(&scores, s, &vq, &mut hctx)?;
+            for i in 0..s {
+                for e in 0..dh {
+                    ctx[i * d + hd * dh + e] = hctx[i * dh + e];
+                }
+            }
+        }
+        Ok(ctx)
     }
 
     /// Forward one window to logits under the scheme.
@@ -556,24 +587,8 @@ impl QuantizedLm {
     /// the whole degradation ladder) surface as a typed [`GemmError`]
     /// instead of unwinding through the serving stack.
     pub fn try_forward(&self, tokens: &[usize]) -> Result<Vec<f32>, GemmError> {
-        let cfg = &self.src.cfg;
-        let s = tokens.len();
-        let pos: Vec<usize> = (0..s).collect();
-        let te = self.src.tok_emb.forward_infer(tokens);
-        let pe = self.src.pos_emb.forward_infer(&pos);
-        let mut x: Vec<f32> = te.iter().zip(&pe).map(|(a, b)| a + b).collect();
-        for (b, qb) in self.src.blocks.iter().zip(&self.blocks) {
-            let h = b.ln1.forward_infer(&x, s);
-            let a = self.try_attention(qb, &h, s)?;
-            let x1: Vec<f32> = x.iter().zip(&a).map(|(p, q)| p + q).collect();
-            let h2 = b.ln2.forward_infer(&x1, s);
-            let f = self.try_linear(&qb.fc1, &h2, s)?;
-            let g: Vec<f32> = f.iter().map(|&v| apply_act(cfg.act, v)).collect();
-            let o = self.try_linear(&qb.fc2, &g, s)?;
-            x = x1.iter().zip(&o).map(|(p, q)| p + q).collect();
-        }
-        let h = self.src.ln_f.forward_infer(&x, s);
-        self.src.head.try_forward_infer(&h, s)
+        let pos: Vec<usize> = (0..tokens.len()).collect();
+        self.try_forward_rows(tokens, &pos, |_, q, k, v| self.try_window_context(q, k, v))
     }
 
     /// A paged KV arena sized for this model — the companion cache of
@@ -585,18 +600,16 @@ impl QuantizedLm {
 
     /// Forward only the `m` newest tokens of a sequence (absolute
     /// positions `start..start + m`) against its paged KV cache,
-    /// returning the `m × vocab` logits rows. Appends the new K/V rows
+    /// returning the `m × vocab` logits rows — one run of
+    /// [`QuantizedLm::try_forward_paged_batch`]. Appends the new K/V rows
     /// to `arena` as a **hot FP tail**; the caller commits the advance
     /// with [`KvArena::commit`] after the pass succeeds (which is when a
     /// quantized arena seals newly filled pages).
     ///
     /// With FP pages this is byte-identical to the matching rows of
-    /// [`QuantizedLm::try_forward`] over the full sequence: every
-    /// stage is row-independent — embeddings, LayerNorm, the prepared
-    /// GEMMs (each output element depends only on its own activation
-    /// row; see `axcore::engines::prepared`), bias adds, residuals —
-    /// and the causal attention over gathered K/V reproduces the
-    /// full-sequence score rows bit-for-bit
+    /// [`QuantizedLm::try_forward`] over the full sequence: every dense
+    /// stage is row-independent, and the causal attention over gathered
+    /// K/V reproduces the full-sequence score rows bit-for-bit
     /// (`crate::attention::attention_context_rows`). The scheme's
     /// whole-matrix KV re-quantization (`Scheme::AxCoreKv` / Tender) is
     /// a per-window measurement path and is **not** applied here; paged
@@ -615,60 +628,30 @@ impl QuantizedLm {
         arena: &mut KvArena,
         seq: SeqId,
     ) -> Result<Vec<f32>, PagedError> {
-        let cfg = &self.src.cfg;
-        let d = cfg.d_model;
-        let nh = cfg.n_heads;
-        let dh = d / nh;
-        let m = new_tokens.len();
-        let s = start + m;
-        let pos: Vec<usize> = (start..s).collect();
-        let te = self.src.tok_emb.forward_infer(new_tokens);
-        let pe = self.src.pos_emb.forward_infer(&pos);
-        let mut x: Vec<f32> = te.iter().zip(&pe).map(|(a, b)| a + b).collect();
-        let mut kf = Vec::new();
-        let mut vf = Vec::new();
-        for (li, (b, qb)) in self.src.blocks.iter().zip(&self.blocks).enumerate() {
-            let h = b.ln1.forward_infer(&x, m);
-            let q = self.try_linear(&qb.wq, &h, m)?;
-            let k = self.try_linear(&qb.wk, &h, m)?;
-            let v = self.try_linear(&qb.wv, &h, m)?;
-            arena.try_append(seq, li, start, &k, &v)?;
-            arena.try_gather(seq, li, s, &mut kf, &mut vf)?;
-            let ctx = crate::attention::attention_context_rows_sharded(
-                &q, &kf, &vf, start, m, d, nh, dh,
-            );
-            let a = self.try_linear(&qb.wo, &ctx, m)?;
-            let x1: Vec<f32> = x.iter().zip(&a).map(|(p, q)| p + q).collect();
-            let h2 = b.ln2.forward_infer(&x1, m);
-            let f = self.try_linear(&qb.fc1, &h2, m)?;
-            let g: Vec<f32> = f.iter().map(|&v| apply_act(cfg.act, v)).collect();
-            let o = self.try_linear(&qb.fc2, &g, m)?;
-            x = x1.iter().zip(&o).map(|(p, q)| p + q).collect();
-        }
-        let h = self.src.ln_f.forward_infer(&x, m);
-        Ok(self.src.head.try_forward_infer(&h, m)?)
+        let items: Vec<(SeqId, usize, usize)> =
+            new_tokens.iter().enumerate().map(|(i, &t)| (seq, start + i, t)).collect();
+        self.try_forward_paged_batch(&items, arena)
     }
 
-    /// One decode step for many sequences at once: forward one new token
-    /// per sequence (`items[r] = (seq, start, token)` with the token at
-    /// absolute position `start`) against each sequence's paged KV
-    /// cache, returning `items.len() × vocab` logits rows in item order.
+    /// The paged forward: stacked rows `items[r] = (seq, pos, token)`,
+    /// each token at absolute position `pos` of sequence `seq`, forwarded
+    /// against the sequences' paged KV caches, returning
+    /// `items.len() × vocab` logits rows in item order.
     ///
-    /// This is the steady-state continuous-batching kernel: the dense
-    /// stages (embeddings, LayerNorm, every prepared GEMM, residuals)
-    /// run once over the stacked rows instead of once per sequence,
-    /// amortising per-call dispatch and verification across the whole
-    /// batch; only attention walks each sequence's own block table. Row
-    /// `r` is byte-identical to
-    /// [`QuantizedLm::try_forward_paged`]`(&[token], start, …)` for that
-    /// sequence alone, because every dense stage computes each output
-    /// row from its own activation row only (the same row-independence
-    /// that makes paged decode match the full forward). As there, the
-    /// caller commits each sequence's advance with
-    /// [`KvArena::try_commit`] after the pass succeeds; on failure the
-    /// whole stacked pass fails (a [`PagedError::Kv`] names the one
-    /// offending sequence so the scheduler can heal it and retry the
-    /// rest individually within the same step).
+    /// The dense stages run once over all stacked rows, amortising
+    /// per-call dispatch and verification across the batch; only
+    /// attention walks each sequence's own block table. It does so per
+    /// *run* — a maximal group of adjacent items of one sequence at
+    /// consecutive positions — with one append, one gather and one
+    /// attention call per run and layer, so a run of `m` rows does
+    /// exactly what [`QuantizedLm::try_forward_paged`] does for those
+    /// `m` tokens, and its rows are byte-identical to that call's (the
+    /// row-independence above). As there, the caller commits each
+    /// sequence's advance with [`KvArena::try_commit`] after the pass
+    /// succeeds; on failure the whole stacked pass fails (a
+    /// [`PagedError::Kv`] names the one offending sequence so the
+    /// scheduler can heal it and retry the rest individually within the
+    /// same step).
     pub fn try_forward_paged_batch(
         &self,
         items: &[(SeqId, usize, usize)],
@@ -678,45 +661,30 @@ impl QuantizedLm {
         let d = cfg.d_model;
         let nh = cfg.n_heads;
         let dh = d / nh;
-        let m = items.len();
-        let tokens: Vec<usize> = items.iter().map(|&(_, _, t)| t).collect();
-        let pos: Vec<usize> = items.iter().map(|&(_, start, _)| start).collect();
-        let te = self.src.tok_emb.forward_infer(&tokens);
-        let pe = self.src.pos_emb.forward_infer(&pos);
-        let mut x: Vec<f32> = te.iter().zip(&pe).map(|(a, b)| a + b).collect();
-        let mut kf = Vec::new();
-        let mut vf = Vec::new();
-        for (li, (b, qb)) in self.src.blocks.iter().zip(&self.blocks).enumerate() {
-            let h = b.ln1.forward_infer(&x, m);
-            let q = self.try_linear(&qb.wq, &h, m)?;
-            let k = self.try_linear(&qb.wk, &h, m)?;
-            let v = self.try_linear(&qb.wv, &h, m)?;
-            let mut ctx = vec![0f32; m * d];
-            for (r, &(seq, start, _)) in items.iter().enumerate() {
-                arena.try_append(seq, li, start, &k[r * d..(r + 1) * d], &v[r * d..(r + 1) * d])?;
-                arena.try_gather(seq, li, start + 1, &mut kf, &mut vf)?;
-                let c = crate::attention::attention_context_rows_sharded(
-                    &q[r * d..(r + 1) * d],
-                    &kf,
-                    &vf,
-                    start,
-                    1,
-                    d,
-                    nh,
-                    dh,
-                );
-                ctx[r * d..(r + 1) * d].copy_from_slice(&c);
+        // (seq, first position, item rows) of each run.
+        let mut runs: Vec<(SeqId, usize, std::ops::Range<usize>)> = Vec::new();
+        for (r, &(seq, pos, _)) in items.iter().enumerate() {
+            match runs.last_mut() {
+                Some((s, start, rows)) if *s == seq && *start + rows.len() == pos => rows.end = r + 1,
+                _ => runs.push((seq, pos, r..r + 1)),
             }
-            let a = self.try_linear(&qb.wo, &ctx, m)?;
-            let x1: Vec<f32> = x.iter().zip(&a).map(|(p, q)| p + q).collect();
-            let h2 = b.ln2.forward_infer(&x1, m);
-            let f = self.try_linear(&qb.fc1, &h2, m)?;
-            let g: Vec<f32> = f.iter().map(|&v| apply_act(cfg.act, v)).collect();
-            let o = self.try_linear(&qb.fc2, &g, m)?;
-            x = x1.iter().zip(&o).map(|(p, q)| p + q).collect();
         }
-        let h = self.src.ln_f.forward_infer(&x, m);
-        Ok(self.src.head.try_forward_infer(&h, m)?)
+        let tokens: Vec<usize> = items.iter().map(|&(_, _, t)| t).collect();
+        let pos: Vec<usize> = items.iter().map(|&(_, p, _)| p).collect();
+        let (mut kf, mut vf) = (Vec::new(), Vec::new());
+        self.try_forward_rows(&tokens, &pos, |li, q, k, v| {
+            let mut ctx = Vec::with_capacity(q.len());
+            for &(seq, start, ref rows) in &runs {
+                let m = rows.len();
+                let span = rows.start * d..rows.end * d;
+                arena.try_append(seq, li, start, &k[span.clone()], &v[span.clone()])?;
+                arena.try_gather(seq, li, start + m, &mut kf, &mut vf)?;
+                ctx.extend_from_slice(&crate::attention::attention_context_rows_sharded(
+                    &q[span], &kf, &vf, start, m, d, nh, dh,
+                ));
+            }
+            Ok(ctx)
+        })
     }
 
     /// Top-1 next-token accuracy over a token stream (Table-3 metric).

@@ -421,15 +421,16 @@ impl<'a> DecodeScheduler<'a> {
     /// including paused sequences, so deadlines fire while evicted.
     /// Returns the retirement events of this step, in admission order.
     ///
+    /// Every forward goes through [`QuantizedLm::try_forward_paged_batch`].
     /// Sequences in steady state (exactly one uncached token) are
-    /// stacked into a single batched forward
-    /// ([`QuantizedLm::try_forward_paged_batch`]) so dense-layer
-    /// dispatch and verification amortise across the batch — the
-    /// continuous-batching throughput win — while sequences mid-prefill
-    /// (fresh admissions, post-eviction re-prefills) forward
-    /// individually. Row-independence keeps both paths bit-identical to
-    /// serial decoding; a failure of the stacked pass fails every
-    /// sequence in it.
+    /// stacked into one call so dense-layer dispatch and verification
+    /// amortise across the batch — the continuous-batching throughput
+    /// win — while sequences mid-prefill (fresh admissions,
+    /// post-eviction re-prefills) forward one call each.
+    /// Row-independence keeps both bit-identical to serial decoding. A
+    /// failed call's error goes to the sequence a
+    /// [`KvError::CorruptPage`] names, to the largest member on
+    /// [`KvError::CapacityExhausted`], and to every member otherwise.
     pub fn step(&mut self, mut keep_going: impl FnMut(SeqHandle) -> bool) -> Vec<StepEvent> {
         self.step_no += 1;
         let step_no = self.step_no;
@@ -493,75 +494,69 @@ impl<'a> DecodeScheduler<'a> {
                 budgeted += needed;
             }
         }
-        // Forward passes: one stacked call for the steady-state cohort,
-        // individual calls for multi-token prefills. `rows[idx]` ends up
-        // with sequence idx's last logits row (or its failure).
+        // Forward passes, all through the one call below: first one
+        // stacked call for the steady-state cohort (if it has ≥ 2
+        // members), then one call per remaining runnable sequence —
+        // multi-token prefills, plus cohort members a KV error left
+        // blameless, which retry individually this same step (their
+        // uncommitted appends are idempotent). `rows[idx]` ends up with
+        // sequence idx's last logits row (or its failure).
+        let runnable = |s: &SeqState| !s.paused && !s.stalled;
         let mut rows: Vec<Option<Result<Vec<f32>, PagedError>>> =
             self.seqs.iter().map(|_| None).collect();
-        let single: Vec<usize> = self
+        let cohort: Vec<usize> = self
             .seqs
             .iter()
             .enumerate()
-            .filter(|(_, s)| !s.paused && !s.stalled && s.tokens.len() - s.cached == 1)
+            .filter(|(_, s)| runnable(s) && s.tokens.len() - s.cached == 1)
             .map(|(idx, _)| idx)
             .collect();
-        if single.len() > 1 {
-            let items: Vec<(SeqId, usize, usize)> = single
+        let singles = (0..self.seqs.len()).map(|idx| vec![idx]);
+        for group in Some(cohort).filter(|c| c.len() > 1).into_iter().chain(singles) {
+            if group.iter().any(|&idx| rows[idx].is_some() || !runnable(&self.seqs[idx])) {
+                continue;
+            }
+            let items: Vec<(SeqId, usize, usize)> = group
                 .iter()
-                .map(|&idx| {
+                .flat_map(|&idx| {
                     let s = &self.seqs[idx];
-                    (s.kv, s.cached, s.tokens[s.cached])
+                    (s.cached..s.tokens.len()).map(move |p| (s.kv, p, s.tokens[p]))
                 })
                 .collect();
             match qlm.try_forward_paged_batch(&items, &mut self.arena) {
                 Ok(logits) => {
-                    for (r, &idx) in single.iter().enumerate() {
-                        rows[idx] = Some(Ok(logits[r * v..(r + 1) * v].to_vec()));
-                    }
-                }
-                // A detected-corrupt page names one poisoned sequence:
-                // only it takes the error (and heals below); blameless
-                // batchmates stay `None` and retry individually this
-                // same step — their uncommitted appends are idempotent.
-                Err(PagedError::Kv(KvError::CorruptPage { seq, index })) => {
-                    for &idx in &single {
-                        if self.seqs[idx].kv == seq {
-                            rows[idx] =
-                                Some(Err(PagedError::Kv(KvError::CorruptPage { seq, index })));
-                        }
-                    }
-                }
-                // Capacity exhaustion mid-batch: stall the largest
-                // cohort member (frees the most pages); the rest retry
-                // individually and stall one by one only if they must.
-                Err(PagedError::Kv(e @ KvError::CapacityExhausted { .. })) => {
-                    if let Some(&idx) = single
-                        .iter()
-                        .max_by_key(|&&idx| (self.seqs[idx].tokens.len(), self.seqs[idx].handle))
-                    {
-                        rows[idx] = Some(Err(PagedError::Kv(e)));
+                    let mut end = 0;
+                    for &idx in &group {
+                        end += self.seqs[idx].tokens.len() - self.seqs[idx].cached;
+                        rows[idx] = Some(Ok(logits[(end - 1) * v..end * v].to_vec()));
                     }
                 }
                 Err(e) => {
-                    for &idx in &single {
+                    let blamed: Vec<usize> = match e {
+                        // A detected-corrupt page names one poisoned
+                        // sequence: only it takes the error (and heals
+                        // below).
+                        PagedError::Kv(KvError::CorruptPage { seq, .. }) => {
+                            group.iter().copied().filter(|&idx| self.seqs[idx].kv == seq).collect()
+                        }
+                        // Capacity exhaustion: stall the largest member
+                        // (frees the most pages); the rest stall one by
+                        // one only if they must.
+                        PagedError::Kv(KvError::CapacityExhausted { .. }) => group
+                            .iter()
+                            .copied()
+                            .max_by_key(|&idx| {
+                                (self.seqs[idx].tokens.len(), self.seqs[idx].handle)
+                            })
+                            .into_iter()
+                            .collect(),
+                        _ => group,
+                    };
+                    for idx in blamed {
                         rows[idx] = Some(Err(e.clone()));
                     }
                 }
             }
-        }
-        for (idx, row) in rows.iter_mut().enumerate() {
-            if self.seqs[idx].paused || self.seqs[idx].stalled || row.is_some() {
-                continue;
-            }
-            let start = self.seqs[idx].cached;
-            let kv = self.seqs[idx].kv;
-            let toks = self.seqs[idx].tokens[start..].to_vec();
-            *row = Some(qlm.try_forward_paged(&toks, start, &mut self.arena, kv).map(
-                |logits| {
-                    let m = toks.len();
-                    logits[(m - 1) * v..m * v].to_vec()
-                },
-            ));
         }
         // Commit, select, and retire in admission order.
         let mut kept = Vec::with_capacity(self.seqs.len());

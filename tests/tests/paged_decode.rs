@@ -1,7 +1,7 @@
 //! Cross-crate integration for continuous batching over the paged KV
 //! arena (`axcore_nn::scheduler` + `axcore_nn::kvcache`).
 //!
-//! Two claims are pinned here:
+//! Three claims are pinned here:
 //!
 //! 1. **Byte-identity** — with FP pages, every sequence decoded through
 //!    the continuous scheduler is bit-for-bit the serial `try_generate`
@@ -14,10 +14,14 @@
 //!    tier: paged perplexity with quantized pages stays within 5% of FP
 //!    pages, and FP-paged perplexity equals the full-forward
 //!    `eval_perplexity` exactly.
+//! 3. **The stacked-item contract** — one `try_forward_paged_batch` call
+//!    over items that mix multi-row prefill runs with single decode rows
+//!    of several sequences returns each row byte-identical to that
+//!    sequence's own `try_forward_paged` call.
 
 use axcore_nn::corpus::{Corpus, MarkovSpec};
 use axcore_nn::generate::{try_generate, Decoding};
-use axcore_nn::kvcache::KvPageConfig;
+use axcore_nn::kvcache::{KvPageConfig, SeqId};
 use axcore_nn::layers::ActKind;
 use axcore_nn::model::{LmConfig, TransformerLm};
 use axcore_nn::scheduler::{DecodeScheduler, SeqHandle, StepEvent};
@@ -201,6 +205,102 @@ proptest! {
             axcore_parallel::with_threads(workers, || {
                 check_schedule(&reqs, mode, block, evict_every);
             });
+        }
+    }
+}
+
+/// One `try_forward_paged_batch` call whose items mix multi-row prefill
+/// runs (fresh sequences) with single decode rows (sequences with a
+/// cached prefix) for `n_seqs` sequences, checked row for row against
+/// per-sequence `try_forward_paged` calls in a second arena. A
+/// sequence's rows may be split into two chunks with other sequences'
+/// rows between them, so one sequence can form two runs in one call.
+fn check_mixed_items(seed: u64, n_seqs: usize, block: usize) {
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+    let q = qlm();
+    let f = fixture();
+    let pages = KvPageConfig { quant: None, block, ..Default::default() };
+    let (mut stacked, mut reference) = (q.kv_arena(pages), q.kv_arena(pages));
+    let mut rng = StdRng::seed_from_u64(seed);
+    // (stacked id, reference id, tokens, cached prefix length) per sequence.
+    let mut seqs: Vec<(SeqId, SeqId, Vec<usize>, usize)> = Vec::new();
+    for _ in 0..n_seqs {
+        let (cached, new) = if rng.random_bool(0.5) {
+            (0, rng.random_range(2..9usize))
+        } else {
+            (rng.random_range(1..13usize), 1)
+        };
+        let at = rng.random_range(0..600usize);
+        let toks = f.corpus.val[at..at + cached + new].to_vec();
+        let (a, b) = (stacked.try_join().expect("join"), reference.try_join().expect("join"));
+        if cached > 0 {
+            for (arena, id) in [(&mut stacked, a), (&mut reference, b)] {
+                q.try_forward_paged(&toks[..cached], 0, arena, id).expect("prefix");
+                arena.try_commit(id, cached).expect("commit prefix");
+            }
+        }
+        seqs.push((a, b, toks, cached));
+    }
+    // Chunk queues: each sequence's uncached positions in one or two
+    // chunks, drained in random sequence order (chunk order kept).
+    let mut queues: Vec<Vec<(usize, usize)>> = seqs
+        .iter()
+        .map(|(_, _, toks, cached)| {
+            let n = toks.len();
+            if n - cached > 1 && rng.random_bool(0.5) {
+                let cut = rng.random_range(cached + 1..n);
+                vec![(cut, n), (*cached, cut)]
+            } else {
+                vec![(*cached, n)]
+            }
+        })
+        .collect();
+    let mut items: Vec<(SeqId, usize, usize)> = Vec::new();
+    let mut owner: Vec<usize> = Vec::new();
+    while queues.iter().any(|qs| !qs.is_empty()) {
+        let live: Vec<usize> = (0..n_seqs).filter(|&i| !queues[i].is_empty()).collect();
+        let i = live[rng.random_range(0..live.len())];
+        let (lo, hi) = queues[i].pop().expect("non-empty queue");
+        for p in lo..hi {
+            items.push((seqs[i].0, p, seqs[i].2[p]));
+            owner.push(i);
+        }
+    }
+    let v = q.vocab();
+    let got = q.try_forward_paged_batch(&items, &mut stacked).expect("stacked forward");
+    assert_eq!(got.len(), items.len() * v);
+    for (i, (_, b, toks, cached)) in seqs.iter().enumerate() {
+        let want = q
+            .try_forward_paged(&toks[*cached..], *cached, &mut reference, *b)
+            .expect("per-sequence forward");
+        for (r, &(_, p, _)) in items.iter().enumerate().filter(|&(r, _)| owner[r] == i) {
+            let row = &want[(p - cached) * v..(p - cached + 1) * v];
+            assert_eq!(
+                got[r * v..(r + 1) * v].iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                row.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                "item {r} (sequence {i}, position {p}) differs from its own forward"
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The generalized item contract, proptested: prefill runs and
+    /// decode rows of up to 4 sequences stacked into one call are
+    /// byte-identical to per-sequence forwards, at 1 and 4 workers. The
+    /// scheduler never issues such a mixed call, so nothing else covers
+    /// it.
+    #[test]
+    fn mixed_prefill_and_decode_items_match_per_sequence_forwards(
+        seed in any::<u64>(),
+        n_seqs in 1usize..5,
+        block in prop_oneof![Just(4usize), Just(16usize)],
+    ) {
+        for workers in [1usize, 4] {
+            axcore_parallel::with_threads(workers, || check_mixed_items(seed, n_seqs, block));
         }
     }
 }

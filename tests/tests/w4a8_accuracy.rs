@@ -21,6 +21,10 @@
 //!   weights the integer grid cannot represent (INT8, E4M3, group size
 //!   not a multiple of 32), degrades to the FP path **bit-identically**:
 //!   a disengaged W4A8 tier must be invisible.
+//!
+//! Tier quarantine is process-global, so every test here serializes on
+//! one mutex and starts from clean health state: one test's quarantine
+//! would otherwise disengage the tier under the tests running beside it.
 
 use axcore::engines::{
     with_act_policy, ActPolicy, AxCoreEngine, FignaEngine, FiglutEngine, FpmaEngine, GemmEngine,
@@ -29,6 +33,16 @@ use axcore_parallel::{health, ExecMode, Tier};
 use axcore_quant::{GroupQuantizer, QuantFormat, QuantizedMatrix};
 use axcore_softfloat::FP16;
 use proptest::prelude::*;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+static HEALTH_LOCK: Mutex<()> = Mutex::new(());
+
+/// Serialize the test and start from clean global health state.
+fn health_guard() -> MutexGuard<'static, ()> {
+    let g = HEALTH_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    health::reset();
+    g
+}
 
 const K: usize = 128;
 const N: usize = 96;
@@ -118,6 +132,7 @@ proptest! {
     /// AxCore over every eligible fixed FP4 format and the adaptive mix.
     #[test]
     fn axcore_w4a8_within_tolerance(seed in 0u64..200, fmt_idx in 0usize..4) {
+        let _g = health_guard();
         let w = weights(seed, 0.4);
         let q = match fmt_idx {
             0 => GroupQuantizer::fixed(QuantFormat::E2M1, 32).quantize(&w, K, N),
@@ -131,6 +146,7 @@ proptest! {
     /// FPMA (uniform-format indirect GEMM) over fixed FP4 formats.
     #[test]
     fn fpma_w4a8_within_tolerance(seed in 0u64..200, fmt_idx in 0usize..3) {
+        let _g = health_guard();
         let fmt = [QuantFormat::E2M1, QuantFormat::E1M2, QuantFormat::E3M0][fmt_idx];
         let q = GroupQuantizer::fixed(fmt, 32).quantize(&weights(seed, 0.4), K, N);
         assert_w4a8_within_tolerance(&FpmaEngine::new(FP16), &activations(seed), &q, 0.10)?;
@@ -140,6 +156,7 @@ proptest! {
     /// the only divergence from the FP-activation path is Q8 rounding.
     #[test]
     fn figna_w4a8_within_tolerance(seed in 0u64..200) {
+        let _g = health_guard();
         let q = GroupQuantizer::fixed(QuantFormat::INT4, 32).quantize(&weights(seed, 0.3), K, N);
         assert_w4a8_within_tolerance(&FignaEngine::new(FP16), &activations(seed), &q, 0.02)?;
     }
@@ -150,6 +167,7 @@ proptest! {
 /// fall back to the FP path bit-identically — not approximately.
 #[test]
 fn ineligible_weights_fall_back_bit_identically() {
+    let _g = health_guard();
     let cases: Vec<(Box<dyn GemmEngine>, QuantizedMatrix)> = vec![
         (
             Box::new(FiglutEngine::new(FP16)),
@@ -183,6 +201,7 @@ fn ineligible_weights_fall_back_bit_identically() {
 /// produces output bit-identical to `Never`, on every engine family.
 #[test]
 fn quarantined_tier_falls_back_bit_identically() {
+    let _g = health_guard();
     let a = activations(9);
     let q = GroupQuantizer::adaptive_fp4(32, 8, None).quantize(&weights(21, 0.4), K, N);
     let engines: Vec<Box<dyn GemmEngine>> = vec![
@@ -215,6 +234,7 @@ fn quarantined_tier_falls_back_bit_identically() {
 /// assertions above are comparing two genuinely different paths.
 #[test]
 fn always_policy_engages_the_integer_tier() {
+    let _g = health_guard();
     let a = activations(3);
     let q = GroupQuantizer::fixed(QuantFormat::E2M1, 32).quantize(&weights(33, 0.4), K, N);
     let engine = AxCoreEngine::new(FP16);
