@@ -31,6 +31,10 @@
 //!   per call, weight blocks folded in as integer dots of 4-bit codes
 //!   against 8-bit activation codes. `pooled / w4a8` at equal thread
 //!   count is the integer tier's win over FP-activation LUT decode.
+//!   Two more W4A8 entries run the same tier at the serving runtime's
+//!   other shapes: `decode_m8x64_w4a8` (64 calls of an 8-row stacked
+//!   decode) and `prefill_m64x8_w4a8` (8 calls of a 64-row prefill
+//!   panel); their rows/s count activation rows.
 //!
 //! A `spawn_overhead_us` entry reports the per-dispatch cost of one
 //! trivial two-chunk fan-out at two workers in each mode — the scoped
@@ -148,6 +152,11 @@ const K: usize = 512;
 const N: usize = 512;
 const PREFILL_M: usize = 128;
 const DECODE_CALLS: usize = 64;
+/// Rows of the stacked-decode W4A8 entry (one row per batched sequence).
+const STACKED_M: usize = 8;
+/// Rows and call count of the prefill-panel W4A8 entry.
+const PANEL_M: usize = 64;
+const PANEL_CALLS: usize = 8;
 
 /// Strict-mode ceiling on the W4A8-vs-FP-activation perplexity delta, in
 /// percent — the accuracy bound documented in DESIGN.md §10.
@@ -316,7 +325,12 @@ fn main() {
     // runtime (arena scratch + packed SWAR gathers) on the same shapes.
     let prepared = engine.prepare(&q);
     let prepared_legacy = legacy.prepare(&q);
-    let mut rows: Vec<(usize, Entry, Entry, Entry, Entry, Entry, Entry)> = Vec::new();
+    let stacked_rows = (STACKED_M * DECODE_CALLS) as f64;
+    let panel_rows = (PANEL_M * PANEL_CALLS) as f64;
+    let a_stacked = &a_prefill[..STACKED_M * K];
+    let a_panel = &a_prefill[..PANEL_M * K];
+    #[allow(clippy::type_complexity)]
+    let mut rows: Vec<(usize, Entry, Entry, Entry, Entry, Entry, Entry, Entry, Entry)> = Vec::new();
     for &t in &sweep {
         axcore_parallel::with_threads(t, || {
             // The configurations are measured in alternating rounds
@@ -324,8 +338,8 @@ fn main() {
             // thermal throttling, a co-tenant waking up — lands on
             // every configuration equally instead of biasing whichever
             // one happens to run later.
-            let (mut pp, mut pl, mut dp, mut dl, mut dpo, mut dw) =
-                (f64::MAX, f64::MAX, f64::MAX, f64::MAX, f64::MAX, f64::MAX);
+            let (mut pp, mut pl, mut dp, mut dl, mut dpo, mut dw, mut dw8, mut pw64) =
+                (f64::MAX, f64::MAX, f64::MAX, f64::MAX, f64::MAX, f64::MAX, f64::MAX, f64::MAX);
             for _ in 0..5 {
                 pp = pp.min(time_it(1, || {
                     axcore_parallel::with_exec_mode(ExecMode::Scoped, || {
@@ -377,6 +391,29 @@ fn main() {
                         })
                     });
                 }));
+                dw8 = dw8.min(time_it(1, || {
+                    axcore_parallel::with_exec_mode(ExecMode::Pooled, || {
+                        with_act_policy(ActPolicy::Always, || {
+                            for _ in 0..DECODE_CALLS {
+                                engine.gemm_prepared(
+                                    &*prepared,
+                                    a_stacked,
+                                    STACKED_M,
+                                    &mut out[..STACKED_M * N],
+                                );
+                            }
+                        })
+                    });
+                }));
+                pw64 = pw64.min(time_it(1, || {
+                    axcore_parallel::with_exec_mode(ExecMode::Pooled, || {
+                        with_act_policy(ActPolicy::Always, || {
+                            for _ in 0..PANEL_CALLS {
+                                engine.gemm_prepared(&*prepared, a_panel, PANEL_M, &mut out[..PANEL_M * N]);
+                            }
+                        })
+                    });
+                }));
             }
             rows.push((
                 t,
@@ -386,6 +423,8 @@ fn main() {
                 Entry { rows_per_s: decode_rows / dl, seconds: dl, threads: t },
                 Entry { rows_per_s: decode_rows / dpo, seconds: dpo, threads: t },
                 Entry { rows_per_s: decode_rows / dw, seconds: dw, threads: t },
+                Entry { rows_per_s: stacked_rows / dw8, seconds: dw8, threads: t },
+                Entry { rows_per_s: panel_rows / pw64, seconds: pw64, threads: t },
             ));
         });
     }
@@ -398,8 +437,17 @@ fn main() {
         .rfind(|r| r.0 <= max_threads)
         .or_else(|| rows.first())
         .expect("thread sweep is never empty");
-    let (_, prefill_parallel, prefill_lut, decode_parallel, decode_lut, decode_pooled, decode_w4a8) =
-        headline;
+    let (
+        _,
+        prefill_parallel,
+        prefill_lut,
+        decode_parallel,
+        decode_lut,
+        decode_pooled,
+        decode_w4a8,
+        stacked_w4a8,
+        panel_w4a8,
+    ) = headline;
     // One-worker row: the scaling-efficiency denominator for every entry.
     let base = rows.first().expect("thread sweep is never empty");
     assert_eq!(base.0, 1, "thread sweep must start at one worker");
@@ -513,7 +561,7 @@ fn main() {
             "  \"{name}\": {{ \"rows_per_s\": {rows_per_s:.1}, \"seconds\": {secs:.6}, \"threads\": 1 }},\n"
         ));
     }
-    let (_, base_pp, base_pl, base_dp, base_dl, base_dpo, base_dw) = base;
+    let (_, base_pp, base_pl, base_dp, base_dl, base_dpo, base_dw, base_dw8, base_pw64) = base;
     for (name, e, b) in [
         ("prefill_m128_parallel_prepared", prefill_parallel, base_pp),
         ("prefill_m128_lut", prefill_lut, base_pl),
@@ -521,6 +569,8 @@ fn main() {
         ("decode_m1x64_lut", decode_lut, base_dl),
         ("decode_m1x64_pooled", decode_pooled, base_dpo),
         ("decode_m1x64_w4a8", decode_w4a8, base_dw),
+        ("decode_m8x64_w4a8", stacked_w4a8, base_dw8),
+        ("prefill_m64x8_w4a8", panel_w4a8, base_pw64),
     ] {
         json.push_str(&format!("  \"{name}\": {},\n", e.json(b)));
     }
@@ -541,15 +591,17 @@ fn main() {
         "  \"w4a8_accuracy\": {{ \"ppl_fp_act\": {ppl_fp:.4}, \"ppl_w4a8\": {ppl_w4a8:.4}, \"delta_pct\": {w4a8_ppl_delta_pct:.3}, \"bound_pct\": {W4A8_PPL_BOUND_PCT} }},\n"
     ));
     json.push_str("  \"thread_sweep\": [\n");
-    for (i, (t, pp, pl, dp, dl, dpo, dw)) in rows.iter().enumerate() {
+    for (i, (t, pp, pl, dp, dl, dpo, dw, dw8, pw64)) in rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{ \"threads\": {t}, \"prefill_m128_parallel_prepared\": {}, \"prefill_m128_lut\": {}, \"decode_m1x64_parallel_prepared\": {}, \"decode_m1x64_lut\": {}, \"decode_m1x64_pooled\": {}, \"decode_m1x64_w4a8\": {} }}{}\n",
+            "    {{ \"threads\": {t}, \"prefill_m128_parallel_prepared\": {}, \"prefill_m128_lut\": {}, \"decode_m1x64_parallel_prepared\": {}, \"decode_m1x64_lut\": {}, \"decode_m1x64_pooled\": {}, \"decode_m1x64_w4a8\": {}, \"decode_m8x64_w4a8\": {}, \"prefill_m64x8_w4a8\": {} }}{}\n",
             pp.json(base_pp),
             pl.json(base_pl),
             dp.json(base_dp),
             dl.json(base_dl),
             dpo.json(base_dpo),
             dw.json(base_dw),
+            dw8.json(base_dw8),
+            pw64.json(base_pw64),
             if i + 1 < rows.len() { "," } else { "" },
         ));
     }

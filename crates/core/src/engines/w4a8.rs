@@ -28,36 +28,48 @@
 //! FP8 E4M3) exceed the grid bound and are ineligible; engines fall back
 //! to their FP paths (see [`super::act::ActPolicy`]).
 //!
-//! # Execution rungs
+//! # Execution
 //!
-//! The integer dot runs on one of two bit-identical rungs:
+//! [`W4a8Prep::gemm`] first Q8-quantizes all `m` activation rows, once,
+//! on the calling thread, into arena buffers (codes, block scales
+//! widened to f64, compensation sums). The column-sharded walk
+//! ([`drive`]) only reads them, so no shard re-quantizes a row and the
+//! kmetrics row counter advances by exactly `m` per call.
 //!
-//! * **multiply** — [`axcore_simd::block_dots_u8i8`] over offset codes
-//!   `wu = wint + 64 ∈ [0, 128]` (AVX2 `vpmaddubsw`, SWAR fallback),
-//!   with the offset folded back out via the block's Q8 compensation
-//!   sum: `Σ wint·qa = Σ wu·qa − 64·Σ qa`;
+//! Each column range then runs on one of two bit-identical rungs:
+//!
+//! * **multiply** — [`axcore_simd::w4a8_tile8`], one row × eight
+//!   adjacent columns per call, over offset codes
+//!   `wu = wint + 64 ∈ [0, 128]`. Per 32-block, AVX2 `vpmaddubsw` /
+//!   `vpmaddwd` per column and a `vphaddd` transpose-reduce leave the
+//!   eight columns' exact dots in one vector; the offset comes back out
+//!   via the block's Q8 compensation sum (`Σ wint·qa = Σ wu·qa −
+//!   64·Σ qa`) and the scale fold runs in f64×4 lanes. Column
+//!   remainders, non-AVX2 hosts and the kernel's self test use the
+//!   scalar reference [`axcore_simd::w4a8_cols_scalar`];
 //! * **table** — gathers from the precomputed 16 × 256 per-format
 //!   product tables, indexed by raw weight code and activation code.
 //!
-//! Both produce the same exact `i32` per-block dots, so the choice is
-//! pure scheduling: the multiply rung wins wherever the hardware
-//! multiplies bytes quickly, so it is the default, and the table rung
-//! takes over when the vector unit fails its power-on self test (and
-//! pins the equality in tests). The per-block scale fold-in is fixed:
-//! `dot × d_b` in f64 within a group, `× (scale · unit)` per group, cast
-//! to f32, accumulated in ascending group order — one deterministic
-//! order at any shard count.
+//! Both produce the same exact `i32` per-block dots and fold them
+//! through one operation sequence ([`axcore_simd::w4a8_fold`]): per
+//! block in ascending order `dot × d_b` as an f64 multiply then a
+//! separate add (no FMA), `× (scale · unit)` per group, cast to f32,
+//! f32 adds in ascending group order. So the choice is pure scheduling
+//! and the output is the same at any shard count: the multiply rung is
+//! the default, and the table rung takes over when the vector unit
+//! fails its power-on self test (and pins the equality in tests).
 
 use super::prepared::drive;
 use crate::kmetrics;
 use crate::reliability::{fold, CHECKSUM_SEED};
 use axcore_parallel::arena;
 use axcore_quant::{quantize_row_into, QuantFormat, QuantizedMatrix, Q8_BLOCK};
+use axcore_simd::{Q8Act, W4Cols};
 use std::cell::Cell;
 
 /// Largest `|wint|` the offset-code plane can carry: `wu = wint + 64`
 /// must stay in `[0, 128]` for the `vpmaddubsw` no-saturation bound.
-const MAX_WINT: i32 = 64;
+const MAX_WINT: i32 = axcore_simd::WU_OFFSET;
 
 /// The per-format integer grid: `(unit, wint per code)` such that
 /// `decode(code) == wint[code] · unit` exactly. `None` when the format
@@ -105,22 +117,6 @@ pub(crate) fn with_table_rung<R>(f: impl FnOnce() -> R) -> R {
     }
     let _restore = Restore(FORCE_TABLES.with(|t| t.replace(true)));
     f()
-}
-
-/// Per-worker scratch for the W4A8 kernel: the current row's Q8 form
-/// plus the per-block dot buffer, all arena-recycled so steady-state
-/// decode allocates nothing.
-struct W4a8Scratch {
-    /// Row currently quantized into the buffers (`usize::MAX` = none).
-    row: usize,
-    /// Q8 activation codes, one per element.
-    qa: arena::ArenaVec<i8>,
-    /// Q8 block scales (`d`), one per 32-block.
-    d: arena::ArenaVec<f32>,
-    /// Q8 block compensation sums (`Σ qa`), one per 32-block.
-    sums: arena::ArenaVec<i32>,
-    /// Exact integer block dots, one per 32-block.
-    dots: arena::ArenaVec<i32>,
 }
 
 /// A weight matrix preloaded into W4A8 form. Built (when eligible) at
@@ -239,98 +235,112 @@ impl W4a8Prep {
         self.compute_checksum() == self.checksum
     }
 
-    /// Exact integer block dots of column `c` via the precomputed
-    /// product tables.
-    fn table_dots(&self, c: usize, qa: &[i8], dots: &mut [i32]) {
-        let nbc = self.n / self.block_cols;
-        let col = &self.codes4[c * self.k..(c + 1) * self.k];
-        for (b, dot) in dots.iter_mut().enumerate() {
-            let g = b * Q8_BLOCK / self.group_size;
-            let tbl = &self.tables[self.fmt_of_block[g * nbc + c / self.block_cols] as usize];
-            let mut acc = 0i32;
-            for j in 0..Q8_BLOCK {
-                let i = b * Q8_BLOCK + j;
-                acc += tbl[(col[i] as usize) * 256 + (qa[i] as i32 + 128) as usize];
-            }
-            *dot = acc;
+    /// Columns `c0 .. c0 + cols` in the tile kernel's view: their
+    /// offset codes and their per-group weight scales.
+    fn cols(&self, c0: usize, cols: usize) -> W4Cols<'_> {
+        W4Cols {
+            wu: &self.wu[c0 * self.k..(c0 + cols) * self.k],
+            wscale: &self.wscale[c0..],
+            wscale_stride: self.n,
+            blocks_per_group: self.group_size / Q8_BLOCK,
+        }
+    }
+
+    /// The table rung for columns `c0 .. c0 + out.len()` of one row:
+    /// exact block dots gathered from the precomputed product tables,
+    /// folded in the same order as the multiply rung.
+    fn table_cols(&self, act: Q8Act<'_>, c0: usize, out: &mut [f32]) {
+        let (k, n) = (self.k, self.n);
+        let nbc = n / self.block_cols;
+        let bpg = self.group_size / Q8_BLOCK;
+        for (j, o) in out.iter_mut().enumerate() {
+            let c = c0 + j;
+            let col = &self.codes4[c * k..(c + 1) * k];
+            *o = axcore_simd::w4a8_fold(
+                act.scales,
+                bpg,
+                |g| self.wscale[g * n + c],
+                |b| {
+                    let g = b / bpg;
+                    let tbl = &self.tables[self.fmt_of_block[g * nbc + c / self.block_cols] as usize];
+                    let r = b * Q8_BLOCK..(b + 1) * Q8_BLOCK;
+                    col[r.clone()]
+                        .iter()
+                        .zip(&act.codes[r])
+                        .map(|(&code, &qa)| tbl[code as usize * 256 + (qa as i32 + 128) as usize])
+                        .sum()
+                },
+            );
         }
     }
 
     /// Multiply an `m × k` activation tile against the W4A8 planes,
-    /// overwriting `out` (`m × n`). Sharded over output columns exactly
-    /// like the FP tiers ([`drive`]); each worker quantizes the row into
-    /// its own arena scratch, so steady-state decode allocates nothing
-    /// and results are bit-identical at any shard count (every output
-    /// column folds its own exact integer dots in one fixed order).
+    /// overwriting `out` (`m × n`).
+    ///
+    /// All `m` rows are Q8-quantized once, up front, on the calling
+    /// thread into arena buffers (codes, block scales widened to f64,
+    /// compensation sums); the column-sharded walk ([`drive`]) then only
+    /// reads them. Each column range runs eight-column tiles
+    /// ([`axcore_simd::w4a8_tile8`]) with the scalar reference taking
+    /// any remainder, so steady-state calls allocate nothing and every
+    /// output element folds its own exact integer dots in one fixed
+    /// order — bit-identical at any shard count.
     pub(crate) fn gemm(&self, a: &[f32], m: usize, out: &mut [f32]) {
-        let (k, n, gs) = (self.k, self.n, self.group_size);
+        let k = self.k;
         let blocks = k / Q8_BLOCK;
-        let bpg = gs / Q8_BLOCK;
         // Rung choice, resolved once on the calling thread: the multiply
         // rung unless the vector unit failed its self test (or a test
         // pinned the table rung).
-        let use_tables =
-            FORCE_TABLES.with(|t| t.get()) || !axcore_simd::block_dots_self_test();
-        drive(
-            m,
-            k,
-            n,
-            1,
-            out,
-            || W4a8Scratch {
-                row: usize::MAX,
-                qa: arena::take(k, 0i8),
-                d: arena::take(blocks, 0f32),
-                sums: arena::take(blocks, 0i32),
-                dots: arena::take(blocks, 0i32),
-            },
-            |s, row, col0, cols| {
-                if s.row != row {
-                    kmetrics::record_act_quant(|| {
-                        quantize_row_into(
-                            &a[row * k..(row + 1) * k],
-                            s.qa.as_mut_slice(),
-                            s.d.as_mut_slice(),
-                            s.sums.as_mut_slice(),
-                        )
-                    });
-                    s.row = row;
+        let use_tables = FORCE_TABLES.with(|t| t.get()) || !axcore_simd::w4a8_tile_self_test();
+        let mut codes = arena::take(m * k, 0i8);
+        let mut scales = arena::take(m * blocks, 0f64);
+        let mut sums = arena::take(m * blocks, 0i32);
+        kmetrics::record_act_quant(m, || {
+            let mut d = arena::take(blocks, 0f32);
+            for row in 0..m {
+                let rb = row * blocks..(row + 1) * blocks;
+                quantize_row_into(
+                    &a[row * k..(row + 1) * k],
+                    &mut codes[row * k..(row + 1) * k],
+                    &mut d,
+                    &mut sums[rb.clone()],
+                );
+                for (wide, &narrow) in scales[rb].iter_mut().zip(d.iter()) {
+                    *wide = narrow as f64;
                 }
-                for (j, o) in cols.iter_mut().enumerate() {
-                    let c = col0 + j;
-                    if use_tables {
-                        self.table_dots(c, &s.qa, &mut s.dots);
-                    } else {
-                        axcore_simd::block_dots_u8i8(
-                            &self.wu[c * k..(c + 1) * k],
-                            &s.qa,
-                            &mut s.dots,
-                        );
-                        // Fold the +64 offset back out via the Q8
-                        // compensation sums: Σ wint·qa = Σ wu·qa − 64·Σ qa.
-                        for (dot, &sum) in s.dots.iter_mut().zip(s.sums.iter()) {
-                            *dot -= MAX_WINT * sum;
-                        }
-                    }
-                    let mut acc = 0f32;
-                    for g in 0..k / gs {
-                        let mut gacc = 0f64;
-                        for b in g * bpg..(g + 1) * bpg {
-                            gacc += s.dots[b] as f64 * s.d[b] as f64;
-                        }
-                        acc += (gacc * self.wscale[g * n + c]) as f32;
-                    }
-                    *o = acc;
-                }
-            },
-        );
+            }
+        });
+        let (codes, scales, sums) = (&codes[..], &scales[..], &sums[..]);
+        drive(m, k, self.n, 8, out, || (), |_, row, col0, cols| {
+            let rb = row * blocks..(row + 1) * blocks;
+            let act = Q8Act {
+                codes: &codes[row * k..(row + 1) * k],
+                scales: &scales[rb.clone()],
+                sums: &sums[rb],
+            };
+            if use_tables {
+                self.table_cols(act, col0, cols);
+                return;
+            }
+            let mut tiles = cols.chunks_exact_mut(8);
+            let mut c = col0;
+            for tile in &mut tiles {
+                tile.copy_from_slice(&axcore_simd::w4a8_tile8(act, self.cols(c, 8)));
+                c += 8;
+            }
+            let rest = tiles.into_remainder();
+            if !rest.is_empty() {
+                axcore_simd::w4a8_cols_scalar(act, self.cols(c, rest.len()), rest);
+            }
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use axcore_quant::GroupQuantizer;
+    use axcore_quant::{GroupQuantizer, Q8Row};
+    use proptest::prelude::*;
 
     fn weights(seed: u64, k: usize, n: usize) -> Vec<f32> {
         let mut x = seed;
@@ -430,6 +440,102 @@ mod tests {
             mul.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             tbl.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         );
+    }
+
+    /// The pre-tile W4A8 GEMM, kept as an independent reference: rows
+    /// Q8-quantized one at a time, one column's per-block integer dots
+    /// `Σ (wint + 64)·qa − 64·Σ qa` at a time, then the fixed fold — per
+    /// block an f64 multiply then a separate add, per group
+    /// `× (scale · unit)`, cast to f32, f32 adds in group order.
+    fn per_column_reference(q: &QuantizedMatrix, a: &[f32], m: usize) -> Vec<f32> {
+        let (k, n, gs) = (q.k, q.n, q.group_size);
+        let blocks = k / Q8_BLOCK;
+        let bpg = gs / Q8_BLOCK;
+        let grid = |kk: usize, c: usize| integer_grid(q.format(kk, c)).expect("eligible");
+        let mut out = vec![0f32; m * n];
+        for i in 0..m {
+            let row = Q8Row::quantize(&a[i * k..(i + 1) * k]);
+            for c in 0..n {
+                let dots: Vec<i32> = (0..blocks)
+                    .map(|b| {
+                        let ints = grid(b * Q8_BLOCK, c).1;
+                        let wu_dot: i32 = (b * Q8_BLOCK..(b + 1) * Q8_BLOCK)
+                            .map(|kk| {
+                                (ints[q.code(kk, c) as usize] + 64) * row.codes[kk] as i32
+                            })
+                            .sum();
+                        wu_dot - 64 * row.sums[b]
+                    })
+                    .collect();
+                let mut acc = 0f32;
+                for g in 0..k / gs {
+                    let wscale = q.scale(g * gs, c) * grid(g * gs, c).0;
+                    let mut gacc = 0f64;
+                    let r = g * bpg..(g + 1) * bpg;
+                    for (&dot, &d) in dots[r.clone()].iter().zip(&row.scales[r]) {
+                        gacc += dot as f64 * d as f64;
+                    }
+                    acc += (gacc * wscale) as f32;
+                }
+                out[i * n + c] = acc;
+            }
+        }
+        out
+    }
+
+    const WIDTHS: [usize; 6] = [8, 13, 24, 40, 67, 96];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// The tile kernel is byte-identical to the per-column path it
+        /// replaced, for m in 1..=70, widths that are and are not
+        /// multiples of 8 and 16, group sizes 32/64/128, at 1/2/4
+        /// workers, on both rungs.
+        #[test]
+        fn tile_gemm_matches_the_per_column_path(
+            seed in 0u64..10_000,
+            m in 1usize..=70,
+            width in 0usize..WIDTHS.len(),
+            bpg_log in 0u32..3,
+            groups in 1usize..=3,
+            int4 in 0u8..2,
+        ) {
+            let n = WIDTHS[width];
+            let gs = Q8_BLOCK << bpg_log;
+            let k = gs * groups;
+            let w = weights(seed, k, n);
+            // Per-column adaptive FP4 mixes E1M2/E2M1/E3M0 across
+            // columns, so the table rung's per-block format lookup is
+            // exercised too.
+            let q = if int4 == 1 {
+                GroupQuantizer::fixed(QuantFormat::INT4, gs).quantize(&w, k, n)
+            } else {
+                GroupQuantizer::adaptive_fp4(gs, 1, None).quantize(&w, k, n)
+            };
+            let prep = W4a8Prep::try_new(&q).expect("eligible");
+            let mut a = activations(seed ^ 0xA5A5, m * k);
+            // One all-zero Q8 block (d = 0) in the first row.
+            a[..Q8_BLOCK].fill(0.0);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let want = bits(&per_column_reference(&q, &a, m));
+            for workers in [1usize, 2, 4] {
+                let run = || {
+                    let mut out = vec![f32::NAN; m * n];
+                    axcore_parallel::with_threads(workers, || prep.gemm(&a, m, &mut out));
+                    out
+                };
+                let mul = run();
+                let tbl = with_table_rung(run);
+                for (rung, got) in [("multiply", mul), ("table", tbl)] {
+                    prop_assert!(
+                        bits(&got) == want,
+                        "{} rung diverged at m {}, n {}, k {}, gs {}, {} workers",
+                        rung, m, n, k, gs, workers
+                    );
+                }
+            }
+        }
     }
 
     #[test]

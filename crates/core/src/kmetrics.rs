@@ -21,6 +21,7 @@ use std::time::Instant;
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static LUT_BUILD_NS: AtomicU64 = AtomicU64::new(0);
 static ACT_QUANT_NS: AtomicU64 = AtomicU64::new(0);
+static ACT_QUANT_ROWS: AtomicU64 = AtomicU64::new(0);
 
 /// Nanoseconds spent in instrumented kernel phases during one
 /// [`with_kernel_timing`] extent, summed across all participating
@@ -31,6 +32,9 @@ pub struct KernelTiming {
     pub lut_build_ns: u64,
     /// Time inside Q8 activation-row quantization (the W4A8 tier).
     pub act_quant_ns: u64,
+    /// Activation rows Q8-quantized (the W4A8 tier quantizes each row
+    /// of a call exactly once, so this advances by `m` per call).
+    pub act_quant_rows: u64,
 }
 
 /// Run `f` inside the named counter when timing is enabled.
@@ -49,9 +53,12 @@ pub(crate) fn record_lut_build<R>(f: impl FnOnce() -> R) -> R {
     record(&LUT_BUILD_NS, f)
 }
 
-/// Instrument one activation-row quantization (called from the W4A8
-/// tier).
-pub(crate) fn record_act_quant<R>(f: impl FnOnce() -> R) -> R {
+/// Instrument the Q8 quantization of `rows` activation rows (called
+/// from the W4A8 tier).
+pub(crate) fn record_act_quant<R>(rows: usize, f: impl FnOnce() -> R) -> R {
+    if ENABLED.load(Ordering::Relaxed) {
+        ACT_QUANT_ROWS.fetch_add(rows as u64, Ordering::Relaxed);
+    }
     record(&ACT_QUANT_NS, f)
 }
 
@@ -69,10 +76,12 @@ pub fn with_kernel_timing<R>(f: impl FnOnce() -> R) -> (R, KernelTiming) {
     let _restore = Restore(ENABLED.swap(true, Ordering::Relaxed));
     let lut0 = LUT_BUILD_NS.load(Ordering::Relaxed);
     let act0 = ACT_QUANT_NS.load(Ordering::Relaxed);
+    let rows0 = ACT_QUANT_ROWS.load(Ordering::Relaxed);
     let r = f();
     let timing = KernelTiming {
         lut_build_ns: LUT_BUILD_NS.load(Ordering::Relaxed).wrapping_sub(lut0),
         act_quant_ns: ACT_QUANT_NS.load(Ordering::Relaxed).wrapping_sub(act0),
+        act_quant_rows: ACT_QUANT_ROWS.load(Ordering::Relaxed).wrapping_sub(rows0),
     };
     (r, timing)
 }
@@ -92,13 +101,14 @@ mod tests {
     fn timing_extent_captures_section_deltas() {
         let ((), t) = with_kernel_timing(|| {
             record_lut_build(|| std::thread::sleep(std::time::Duration::from_millis(2)));
-            record_act_quant(|| std::thread::sleep(std::time::Duration::from_millis(1)));
+            record_act_quant(3, || std::thread::sleep(std::time::Duration::from_millis(1)));
         });
         assert!(t.lut_build_ns >= 1_000_000, "build section timed: {t:?}");
         assert!(t.act_quant_ns >= 500_000, "quant section timed: {t:?}");
+        assert!(t.act_quant_rows >= 3, "quant rows counted: {t:?}");
         // Outside the extent the sections are dark again.
         let before = ACT_QUANT_NS.load(Ordering::Relaxed);
-        record_act_quant(|| ());
+        record_act_quant(1, || ());
         assert_eq!(ACT_QUANT_NS.load(Ordering::Relaxed), before);
     }
 }

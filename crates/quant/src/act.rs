@@ -60,13 +60,32 @@ pub fn quantize_row_into(a: &[f32], codes: &mut [i8], scales: &mut [f32], sums: 
         let inv = 127.0 / max_abs;
         let mut sum = 0i32;
         for (slot, &v) in cb.iter_mut().zip(ab) {
-            let q = (v * inv).round_ties_even().clamp(-127.0, 127.0) as i32;
+            let q = round_clamp_q8(v * inv);
             sum += q;
             *slot = q as i8;
         }
         scales[b] = d;
         sums[b] = sum;
     }
+}
+
+/// `x.round_ties_even().clamp(-127.0, 127.0) as i32`, bit for bit, in
+/// a form that compiles to plain vector adds on the baseline x86-64
+/// target (where `round_ties_even` lowers to a `rintf` call per
+/// element).
+///
+/// Adding and then subtracting `1.5 · 2^23` rounds `x` to an integer
+/// with the FPU's round-to-nearest-even: for `|x| < 2^22` the sum lies
+/// in `[2^23, 2^24)`, where the f32 spacing is exactly 1, and the
+/// shift is even, so ties land on the even integer just as
+/// `round_ties_even` puts them. Outside that range rounding is still
+/// monotone and keeps the sign, so every `|x| ≥ 128` clamps to the
+/// same `±127`. NaN stays NaN through both adds and the clamp, and the
+/// saturating `as` cast maps it to 0.
+#[inline]
+fn round_clamp_q8(x: f32) -> i32 {
+    const SHIFT: f32 = 12_582_912.0; // 1.5 · 2^23
+    ((x + SHIFT) - SHIFT).clamp(-127.0, 127.0) as i32
 }
 
 /// One quantized activation row in owned buffers — the convenience form
@@ -138,6 +157,73 @@ mod tests {
         let q = Q8Row::quantize(&a);
         assert_eq!(q.codes[7], -127);
         assert_eq!(q.dequant(7), -2.0);
+    }
+
+    /// The rounding the branch-free form must reproduce.
+    fn reference(x: f32) -> i32 {
+        x.round_ties_even().clamp(-127.0, 127.0) as i32
+    }
+
+    #[test]
+    fn branch_free_rounding_matches_ties_even_on_every_tie() {
+        // Every representable ±k.5 tie (f32 spacing is 0.5 up to 2^23)
+        // and its immediate f32 neighbours on both sides. Below 2^22 the
+        // shifted sum rounds exactly as `round_ties_even`; from 2^22 on
+        // it need not, and both forms agree through the ±127 clamp.
+        for k in 0..(1u32 << 23) {
+            let tie = k as f32 + 0.5;
+            for x in [tie, tie.next_up(), tie.next_down()] {
+                for v in [x, -x] {
+                    assert_eq!(round_clamp_q8(v), reference(v), "{v:e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn branch_free_rounding_matches_ties_even_on_a_random_sweep() {
+        let mut s = 0x2545_F491_4F6C_DD1Du64;
+        for i in 0..2_000_000u32 {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            // Half the draws are arbitrary bit patterns (every exponent,
+            // NaN payloads included), half land in the Q8 working range.
+            let v = if i % 2 == 0 {
+                f32::from_bits(s as u32)
+            } else {
+                ((s >> 40) as f32 / (1u64 << 24) as f32 - 0.5) * 300.0
+            };
+            assert_eq!(round_clamp_q8(v), reference(v), "{v:e} ({:#x})", v.to_bits());
+        }
+    }
+
+    #[test]
+    fn branch_free_rounding_handles_special_values() {
+        let specials = [
+            0.0f32,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::MIN_POSITIVE.next_down(),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            f32::MIN,
+            127.5,
+            -127.5,
+            12_582_912.0,
+            -12_582_912.0,
+        ];
+        for v in specials {
+            assert_eq!(round_clamp_q8(v), reference(v), "{v:e}");
+        }
+        assert_eq!(round_clamp_q8(f32::NAN), 0);
+        assert_eq!(round_clamp_q8(-f32::NAN), 0);
+        assert_eq!(round_clamp_q8(f32::INFINITY), 127);
+        assert_eq!(round_clamp_q8(f32::NEG_INFINITY), -127);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The one unsafe corner of the workspace: the AVX2 kernels for the
 //! prepared decode hot loops in `axcore::engines` — the packed-plane
-//! LUT gather (`vpgatherdd`) and the W4A8 integer block dot
-//! (`vpmaddubsw`).
+//! LUT gather (`vpgatherdd`) and the W4A8 eight-column integer tile
+//! (`vpmaddubsw` + a `vphaddd` transpose-reduce).
 //!
 //! Everything else in the workspace builds under
 //! `#![forbid(unsafe_code)]`; quarantining the vector kernels here keeps
@@ -30,10 +30,10 @@
 //! bar, not closeness to an exact dot product.
 
 #![warn(missing_docs)]
-// Safety posture: `unsafe` appears only in `avx2_gather_group` (the
-// `target_feature` declaration and the pointer-offset gather), with the
-// obligations documented on the function and discharged by
-// `gather_group`'s bounds checks.
+// Safety posture: `unsafe` appears only in `avx2_gather_group` and
+// `avx2_w4a8_tile8` (the `target_feature` declarations and their raw
+// loads), with the obligations documented on each function and
+// discharged by `gather_group`'s bounds checks and `check_w4a8_shapes`.
 
 /// True when the running CPU can execute [`gather_group`]'s vector path.
 ///
@@ -289,140 +289,256 @@ unsafe fn avx2_gather_group(
     (so, eo)
 }
 
-/// One-shot self test of the W4A8 vector kernel: dot a deterministic
-/// pattern through both the AVX2 `maddubs` path and the scalar
-/// reference. `true` when they agree bit-for-bit (or when the CPU has
-/// no AVX2). Cached; the W4A8 tier consults it before trusting the
-/// vector rung, mirroring [`self_test`] for the LUT gather.
-pub fn block_dots_self_test() -> bool {
+/// The offset the W4A8 weight plane stores codes at: `wu = wint +
+/// WU_OFFSET ∈ [0, 128]` keeps every `|wint| ≤ 64` unsigned for
+/// `vpmaddubsw` and under its no-saturation bound.
+pub const WU_OFFSET: i32 = 64;
+
+/// One activation row in the Q8 form the W4A8 tile kernel reads,
+/// quantized once per GEMM call by the engine.
+#[derive(Debug, Clone, Copy)]
+pub struct Q8Act<'a> {
+    /// Signed 8-bit codes `qa ∈ [-127, 127]`, `k` of them (a whole
+    /// number of 32-blocks).
+    pub codes: &'a [i8],
+    /// Per-block scales `d`, widened from f32 to f64 once per row.
+    pub scales: &'a [f64],
+    /// Per-block compensation sums `Σ qa`.
+    pub sums: &'a [i32],
+}
+
+/// Adjacent output columns of a W4A8 weight matrix: offset codes plus
+/// the folded per-group weight scales.
+#[derive(Debug, Clone, Copy)]
+pub struct W4Cols<'a> {
+    /// Offset integer codes `wu = wint + 64 ∈ [0, 128]`, column-major:
+    /// column `l`'s `k` codes are `wu[l·k .. (l+1)·k]`.
+    pub wu: &'a [u8],
+    /// Folded weight scales: column `l` of group `g` is
+    /// `wscale[g · wscale_stride + l]`.
+    pub wscale: &'a [f64],
+    /// Distance between consecutive groups' entries in `wscale`.
+    pub wscale_stride: usize,
+    /// 32-blocks per weight group.
+    pub blocks_per_group: usize,
+}
+
+/// The W4A8 fold-order contract for one output column, shared by every
+/// rung: for each group in ascending order, `gacc` starts at `0.0_f64`
+/// and takes, per block in ascending order, `dot(b) as f64 · scales[b]`
+/// as an f64 multiply followed by a separate f64 add (never an FMA);
+/// the group total is multiplied by `wscale(g)`, cast to f32, and added
+/// to an f32 accumulator that starts at `0.0`. `dot(b)` is the block's
+/// exact integer dot `Σ wint · qa`.
+#[inline]
+pub fn w4a8_fold(
+    scales: &[f64],
+    blocks_per_group: usize,
+    mut wscale: impl FnMut(usize) -> f64,
+    mut dot: impl FnMut(usize) -> i32,
+) -> f32 {
+    let mut acc = 0f32;
+    for (g, ds) in scales.chunks_exact(blocks_per_group).enumerate() {
+        let mut gacc = 0f64;
+        for (j, &d) in ds.iter().enumerate() {
+            gacc += dot(g * blocks_per_group + j) as f64 * d;
+        }
+        acc += (gacc * wscale(g)) as f32;
+    }
+    acc
+}
+
+/// Shape contract shared by the W4A8 tile entry points; panics on any
+/// violation (the AVX2 kernel's raw loads rely on it).
+fn check_w4a8_shapes(act: &Q8Act<'_>, w: &W4Cols<'_>, cols: usize) {
+    let k = act.codes.len();
+    assert!(k.is_multiple_of(32), "activation row of {k} is not whole 32-blocks");
+    let blocks = k / 32;
+    assert_eq!(act.scales.len(), blocks, "one Q8 scale per block");
+    assert_eq!(act.sums.len(), blocks, "one Q8 sum per block");
+    assert_eq!(w.wu.len(), cols * k, "weight codes must be {cols} columns of {k}");
+    assert!(
+        w.blocks_per_group > 0 && blocks.is_multiple_of(w.blocks_per_group),
+        "{blocks} blocks are not whole groups of {}",
+        w.blocks_per_group
+    );
+    let groups = blocks / w.blocks_per_group;
+    if groups > 0 {
+        let end = (groups - 1)
+            .checked_mul(w.wscale_stride)
+            .and_then(|v| v.checked_add(cols));
+        assert!(
+            end.is_some_and(|e| e <= w.wscale.len()),
+            "weight scales of {} too short for {groups} groups at stride {}",
+            w.wscale.len(),
+            w.wscale_stride
+        );
+    }
+}
+
+/// One-shot self test of the W4A8 tile kernel: fold a deterministic
+/// pattern (saturation-bound codes, a zero block, mixed scales) through
+/// both the AVX2 tile and the scalar reference. `true` when every
+/// output bit agrees (or when the CPU has no AVX2). Cached; the W4A8
+/// tier consults it before trusting the vector rung, mirroring
+/// [`self_test`] for the LUT gather.
+pub fn w4a8_tile_self_test() -> bool {
     use std::sync::OnceLock;
     static RESULT: OnceLock<bool> = OnceLock::new();
     *RESULT.get_or_init(|| {
         if !avx2_available() {
             return true;
         }
-        let n = 4 * 32;
-        let w: Vec<u8> = (0..n).map(|i| ((i * 37 + 11) % 129) as u8).collect();
-        let a: Vec<i8> = (0..n)
+        let (k, bpg) = (4 * 32, 2);
+        let wu: Vec<u8> = (0..8 * k).map(|i| ((i * 37 + 11) % 129) as u8).collect();
+        let mut codes: Vec<i8> = (0..k)
             .map(|i| (((i * 2654435761usize) % 255) as i32 - 127) as i8)
             .collect();
-        let mut want = vec![0i32; 4];
-        let mut got = vec![0i32; 4];
-        block_dots_u8i8_scalar(&w, &a, &mut want);
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 confirmed above; slices sized to 4 whole blocks.
-        unsafe {
-            avx2_block_dots_u8i8(&w, &a, &mut got)
-        };
-        want == got
+        codes[32..64].fill(0);
+        let sums: Vec<i32> = codes.chunks(32).map(|b| b.iter().map(|&q| q as i32).sum()).collect();
+        let scales = [0.0123f32 as f64, 0.0, 1.75e-3f32 as f64, 3.5f32 as f64];
+        let wscale: Vec<f64> = (0..16).map(|i| 0.03125 * (i as f64 + 1.0) - 0.2).collect();
+        let act = Q8Act { codes: &codes, scales: &scales, sums: &sums };
+        let w = W4Cols { wu: &wu, wscale: &wscale, wscale_stride: 8, blocks_per_group: bpg };
+        let mut want = [0f32; 8];
+        w4a8_cols_scalar(act, w, &mut want);
+        // SAFETY: AVX2 confirmed above; `check_w4a8_shapes` holds for
+        // this fixed 8-column, 4-block, 2-group pattern.
+        let got = unsafe { avx2_w4a8_tile8(act, w) };
+        want.map(f32::to_bits) == got.map(f32::to_bits)
     })
 }
 
-/// Per-block integer dot products for the W4A8 tier: for each
-/// 32-element block `b`, `dots[b] = Σ_j w[32b+j] · a[32b+j]` with `w`
-/// read as unsigned bytes and `a` as signed bytes, in exact i32
-/// arithmetic.
+/// Eight adjacent output columns of one activation row on the W4A8
+/// tier: per 32-block, the exact integer dot of each column's offset
+/// codes against the row's Q8 codes, with the `+64` offset folded back
+/// out through the block's compensation sum
+/// (`Σ wint·qa = Σ wu·qa − 64·Σ qa`), then [`w4a8_fold`]'s scale fold.
 ///
-/// The engine stores 4-bit weight codes as offset integers
-/// `w = wint + 64 ∈ [0, 128]` and Q8 activation codes `a ∈ [-127, 127]`;
-/// the `+64` offset is folded back out by the caller via the block's
-/// compensation sum. Keeping `w ≤ 128` bounds each adjacent pair at
-/// `2 · 128 · 127 = 32512 < 2^15`, so the AVX2 `vpmaddubsw` path cannot
-/// saturate and all three paths (AVX2, SWAR, scalar) are bit-identical
-/// — the in-crate tests pin this.
+/// Dispatches to the AVX2 kernel when the CPU supports it and
+/// [`w4a8_tile_self_test`] passed, and to [`w4a8_cols_scalar`]
+/// otherwise; both give the same bits (the in-crate tests pin this).
 ///
 /// # Panics
 ///
-/// Panics unless `w.len() == a.len() == dots.len() * 32`. Debug builds
-/// additionally assert the `w ≤ 128` no-saturation bound.
-pub fn block_dots_u8i8(w: &[u8], a: &[i8], dots: &mut [i32]) {
-    assert_eq!(w.len(), a.len(), "weight/activation length mismatch");
-    assert_eq!(w.len(), dots.len() * 32, "inputs must be whole 32-blocks");
+/// Panics unless `act.codes` is whole 32-blocks with one scale and sum
+/// per block, `w.wu` holds eight columns of `k` codes, the groups tile
+/// the blocks, and `w.wscale` covers every group's eight entries.
+/// Debug builds also assert the `wu ≤ 128` no-saturation bound.
+pub fn w4a8_tile8(act: Q8Act<'_>, w: W4Cols<'_>) -> [f32; 8] {
+    check_w4a8_shapes(&act, &w, 8);
     debug_assert!(
-        w.iter().all(|&x| x <= 128),
+        w.wu.iter().all(|&x| x <= 128),
         "offset weight codes must stay ≤ 128 (maddubs saturation bound)"
     );
     #[cfg(target_arch = "x86_64")]
-    if avx2_available() && block_dots_self_test() {
-        // SAFETY: AVX2 confirmed at runtime; lengths asserted above.
-        return unsafe { avx2_block_dots_u8i8(w, a, dots) };
+    if avx2_available() && w4a8_tile_self_test() {
+        // SAFETY: AVX2 confirmed at runtime; shapes asserted above.
+        return unsafe { avx2_w4a8_tile8(act, w) };
     }
-    block_dots_u8i8_swar(w, a, dots);
+    let mut out = [0f32; 8];
+    w4a8_cols_scalar(act, w, &mut out);
+    out
 }
 
-/// SWAR form of [`block_dots_u8i8`]: eight-byte word loads with in-word
-/// byte extraction, four words per block. Same exact i32 result as the
-/// scalar reference; this is the portable fast rung the dispatch falls
-/// back to without AVX2.
-pub fn block_dots_u8i8_swar(w: &[u8], a: &[i8], dots: &mut [i32]) {
-    assert_eq!(w.len(), a.len(), "weight/activation length mismatch");
-    assert_eq!(w.len(), dots.len() * 32, "inputs must be whole 32-blocks");
-    for (b, d) in dots.iter_mut().enumerate() {
-        let mut acc = 0i32;
-        for word in 0..4 {
-            let o = b * 32 + word * 8;
-            // The slices are exactly 8 bytes, so the conversions cannot
-            // fail.
-            #[allow(clippy::unwrap_used)]
-            let ww = u64::from_le_bytes(w[o..o + 8].try_into().unwrap());
-            #[allow(clippy::unwrap_used)]
-            let aw = u64::from_le_bytes(
-                <[i8; 8]>::try_from(&a[o..o + 8]).unwrap().map(|v| v as u8),
-            );
-            for i in 0..8 {
-                let wb = ((ww >> (8 * i)) & 0xff) as i32;
-                let ab = ((aw >> (8 * i)) & 0xff) as u8 as i8 as i32;
-                acc += wb * ab;
-            }
-        }
-        *d = acc;
-    }
-}
-
-/// Scalar reference for [`block_dots_u8i8`], one element at a time.
-/// Public so the engine's tests and this crate's equivalence tests can
-/// call it directly.
-pub fn block_dots_u8i8_scalar(w: &[u8], a: &[i8], dots: &mut [i32]) {
-    assert_eq!(w.len(), a.len(), "weight/activation length mismatch");
-    assert_eq!(w.len(), dots.len() * 32, "inputs must be whole 32-blocks");
-    for (b, d) in dots.iter_mut().enumerate() {
-        let mut acc = 0i32;
-        for j in 0..32 {
-            acc += w[b * 32 + j] as i32 * a[b * 32 + j] as i32;
-        }
-        *d = acc;
-    }
-}
-
-/// [`block_dots_u8i8`] in AVX2: one 256-bit load per operand per block,
-/// `vpmaddubsw` (u8 × i8 → adjacent-pair i16 sums), `vpmaddwd` against
-/// ones to widen to eight i32 lanes, then a horizontal add.
+/// Scalar reference for [`w4a8_tile8`] over any number of columns
+/// (`out.len()`): one column at a time, each block's integer dot
+/// summed element by element, folded by [`w4a8_fold`]. Serves non-AVX2
+/// hosts, column remainders and the self test.
 ///
-/// Exactness: the caller keeps `w ≤ 128`, so each adjacent pair is
+/// # Panics
+///
+/// Panics on the shape violations [`w4a8_tile8`] lists, with
+/// `out.len()` columns in place of eight.
+pub fn w4a8_cols_scalar(act: Q8Act<'_>, w: W4Cols<'_>, out: &mut [f32]) {
+    check_w4a8_shapes(&act, &w, out.len());
+    let k = act.codes.len();
+    for (l, o) in out.iter_mut().enumerate() {
+        let col = &w.wu[l * k..(l + 1) * k];
+        *o = w4a8_fold(
+            act.scales,
+            w.blocks_per_group,
+            |g| w.wscale[g * w.wscale_stride + l],
+            |b| {
+                let r = b * 32..(b + 1) * 32;
+                let dot: i32 = col[r.clone()]
+                    .iter()
+                    .zip(&act.codes[r])
+                    .map(|(&wu, &qa)| wu as i32 * qa as i32)
+                    .sum();
+                dot - WU_OFFSET * act.sums[b]
+            },
+        );
+    }
+}
+
+/// [`w4a8_tile8`] in AVX2. Per 32-block: one load of the row's codes,
+/// then per column a load of its codes, `vpmaddubsw` (u8 × i8 →
+/// adjacent-pair i16 sums) and `vpmaddwd` against ones (→ eight i32
+/// partials). A `vphaddd` transpose-reduce (two levels within each
+/// 128-bit half, then a cross-half add) leaves one vector holding the
+/// eight columns' block dots; the `64·Σ qa` offset comes off, and the
+/// dots convert to two f64×4 halves that fold exactly like
+/// [`w4a8_fold`]: `mul` then a separate `add` per block, `× wscale` per
+/// group, `cvtpd2ps`, and an f32 add.
+///
+/// Exactness: the caller keeps `wu ≤ 128`, so each adjacent pair is
 /// bounded by `2 · 128 · 127 = 32512 < 2^15` and `vpmaddubsw` never
-/// saturates; every later step is exact i32 addition.
+/// saturates; every integer step after it is exact i32 addition
+/// (block dots stay under `32 · 128 · 127`), so the reduction order
+/// cannot change a dot. The float steps are the same IEEE operations,
+/// in the same order, as the scalar fold of each lane.
 ///
 /// # Safety
 ///
-/// Caller must guarantee AVX2 is available and
-/// `w.len() == a.len() == dots.len() * 32`.
+/// Caller must guarantee AVX2 is available and that
+/// [`check_w4a8_shapes`] holds for `(act, w, 8)`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn avx2_block_dots_u8i8(w: &[u8], a: &[i8], dots: &mut [i32]) {
+unsafe fn avx2_w4a8_tile8(act: Q8Act<'_>, w: W4Cols<'_>) -> [f32; 8] {
     use std::arch::x86_64::*;
+    let k = act.codes.len();
+    let bpg = w.blocks_per_group;
     let ones = _mm256_set1_epi16(1);
-    for (b, d) in dots.iter_mut().enumerate() {
-        let wv = _mm256_loadu_si256(w.as_ptr().add(b * 32) as *const __m256i);
-        let av = _mm256_loadu_si256(a.as_ptr().add(b * 32) as *const __m256i);
-        let pairs = _mm256_maddubs_epi16(wv, av);
-        let quads = _mm256_madd_epi16(pairs, ones);
-        let lo = _mm256_castsi256_si128(quads);
-        let hi = _mm256_extracti128_si256::<1>(quads);
-        let s4 = _mm_add_epi32(lo, hi);
-        let s2 = _mm_add_epi32(s4, _mm_shuffle_epi32::<0b00_00_11_10>(s4));
-        let s1 = _mm_add_epi32(s2, _mm_shuffle_epi32::<0b00_00_00_01>(s2));
-        *d = _mm_cvtsi128_si32(s1);
+    let ap = act.codes.as_ptr();
+    let wp = w.wu.as_ptr();
+    let mut acc = _mm256_setzero_ps();
+    for g in 0..act.scales.len() / bpg {
+        let mut lo = _mm256_setzero_pd();
+        let mut hi = _mm256_setzero_pd();
+        for b in g * bpg..(g + 1) * bpg {
+            let av = _mm256_loadu_si256(ap.add(b * 32) as *const __m256i);
+            let part = |l: usize| {
+                let wv = _mm256_loadu_si256(wp.add(l * k + b * 32) as *const __m256i);
+                _mm256_madd_epi16(_mm256_maddubs_epi16(wv, av), ones)
+            };
+            let h01 = _mm256_hadd_epi32(part(0), part(1));
+            let h23 = _mm256_hadd_epi32(part(2), part(3));
+            let h45 = _mm256_hadd_epi32(part(4), part(5));
+            let h67 = _mm256_hadd_epi32(part(6), part(7));
+            // Per 128-bit half: [c0, c1, c2, c3] partial dots over that
+            // half's 16 bytes (and [c4..c7] for the second pair).
+            let h0123 = _mm256_hadd_epi32(h01, h23);
+            let h4567 = _mm256_hadd_epi32(h45, h67);
+            let dots = _mm256_add_epi32(
+                _mm256_permute2x128_si256::<0x20>(h0123, h4567),
+                _mm256_permute2x128_si256::<0x31>(h0123, h4567),
+            );
+            let dots = _mm256_sub_epi32(dots, _mm256_set1_epi32(WU_OFFSET * act.sums[b]));
+            let d = _mm256_set1_pd(act.scales[b]);
+            let dlo = _mm256_cvtepi32_pd(_mm256_castsi256_si128(dots));
+            let dhi = _mm256_cvtepi32_pd(_mm256_extracti128_si256::<1>(dots));
+            lo = _mm256_add_pd(lo, _mm256_mul_pd(dlo, d));
+            hi = _mm256_add_pd(hi, _mm256_mul_pd(dhi, d));
+        }
+        let ws = w.wscale.as_ptr().add(g * w.wscale_stride);
+        let flo = _mm256_cvtpd_ps(_mm256_mul_pd(lo, _mm256_loadu_pd(ws)));
+        let fhi = _mm256_cvtpd_ps(_mm256_mul_pd(hi, _mm256_loadu_pd(ws.add(4))));
+        acc = _mm256_add_ps(acc, _mm256_set_m128(fhi, flo));
     }
+    let mut out = [0f32; 8];
+    _mm256_storeu_ps(out.as_mut_ptr(), acc);
+    out
 }
 
 #[cfg(test)]
@@ -530,55 +646,143 @@ mod tests {
         assert!(self_test(), "cached result stays true");
     }
 
-    #[test]
-    fn block_dot_paths_are_bit_identical() {
-        let mut rng = Rng(0xD1CE_BA5E_0F0F_1234);
-        for trial in 0..200 {
-            let blocks = 1 + (trial % 9);
-            let n = blocks * 32;
-            // w spans the full offset-code range [0, 128] (the maddubs
-            // no-saturation contract); a spans the Q8 range [-127, 127].
-            let w: Vec<u8> = (0..n).map(|_| (rng.next() % 129) as u8).collect();
-            let a: Vec<i8> = (0..n)
-                .map(|_| ((rng.next() % 255) as i32 - 127) as i8)
-                .collect();
-            let mut scalar = vec![0i32; blocks];
-            let mut swar = vec![0i32; blocks];
-            let mut dispatch = vec![0i32; blocks];
-            block_dots_u8i8_scalar(&w, &a, &mut scalar);
-            block_dots_u8i8_swar(&w, &a, &mut swar);
-            block_dots_u8i8(&w, &a, &mut dispatch);
-            assert_eq!(scalar, swar, "swar diverged on trial {trial}");
-            assert_eq!(scalar, dispatch, "dispatch diverged on trial {trial}");
+    /// Q8 sums consistent with `codes`, one per 32-block.
+    fn block_sums(codes: &[i8]) -> Vec<i32> {
+        codes.chunks(32).map(|b| b.iter().map(|&q| q as i32).sum()).collect()
+    }
+
+    /// AVX2 tile, dispatching tile and scalar reference on one input:
+    /// all three must agree to the bit.
+    fn assert_tile_paths_agree(act: Q8Act<'_>, w: W4Cols<'_>, what: &str) {
+        let mut want = [0f32; 8];
+        w4a8_cols_scalar(act, w, &mut want);
+        let want = want.map(f32::to_bits);
+        assert_eq!(w4a8_tile8(act, w).map(f32::to_bits), want, "dispatch, {what}");
+        #[cfg(target_arch = "x86_64")]
+        if avx2_available() {
+            // SAFETY: AVX2 confirmed; the scalar call above already
+            // checked the shapes.
+            let got = unsafe { avx2_w4a8_tile8(act, w) };
+            assert_eq!(got.map(f32::to_bits), want, "avx2, {what}");
         }
     }
 
     #[test]
-    fn block_dot_extremes_are_exact() {
-        // The worst case of the no-saturation bound: every pair at
-        // ±(128 · 127 · 2). One block of all-max, one of all-min.
-        let mut w = vec![128u8; 64];
-        w[32..].fill(128);
-        let mut a = vec![127i8; 64];
-        a[32..].fill(-127);
-        let mut dots = vec![0i32; 2];
-        block_dots_u8i8(&w, &a, &mut dots);
-        assert_eq!(dots, [32 * 128 * 127, -32 * 128 * 127]);
+    fn tile_paths_are_bit_identical() {
+        let mut rng = Rng(0xD1CE_BA5E_0F0F_1234);
+        for trial in 0..300 {
+            let bpg = [1, 2, 4][trial % 3]; // group sizes 32 / 64 / 128
+            let groups = 1 + (rng.next() % 32) as usize; // k up to 4096
+            let blocks = groups * bpg;
+            let k = blocks * 32;
+            // A stride wider than eight exercises the interleaved
+            // (group, column) layout the engine hands in.
+            let stride = 8 + (rng.next() % 5) as usize;
+            let wu: Vec<u8> = (0..8 * k).map(|_| (rng.next() % 129) as u8).collect();
+            let mut codes: Vec<i8> =
+                (0..k).map(|_| ((rng.next() % 255) as i32 - 127) as i8).collect();
+            let mut scales: Vec<f64> =
+                (0..blocks).map(|_| ((rng.next() % 100_000) as f32 * 1e-6) as f64).collect();
+            // An all-zero block quantizes to d = 0 with zero codes.
+            let zb = (rng.next() as usize) % blocks;
+            codes[zb * 32..(zb + 1) * 32].fill(0);
+            scales[zb] = 0.0;
+            let sums = block_sums(&codes);
+            let wscale: Vec<f64> = (0..groups * stride)
+                .map(|_| ((rng.next() % 2001) as f64 - 1000.0) * 1.3e-4)
+                .collect();
+            let act = Q8Act { codes: &codes, scales: &scales, sums: &sums };
+            let w = W4Cols { wu: &wu, wscale: &wscale, wscale_stride: stride, blocks_per_group: bpg };
+            assert_tile_paths_agree(act, w, &format!("trial {trial}, k {k}, bpg {bpg}"));
+        }
     }
 
     #[test]
-    fn block_dot_self_test_passes_on_healthy_hardware() {
-        assert!(block_dots_self_test());
-        assert!(block_dots_self_test(), "cached result stays true");
+    fn tile_extremes_are_exact() {
+        // The no-saturation bound at both signs: wu = 128 against
+        // qa = ±127 in every lane, then the offset-free zero point.
+        let k = 4 * 32;
+        for (wv, qv) in [(128u8, 127i8), (128, -127), (0, 127), (0, -127), (64, 127)] {
+            let wu = vec![wv; 8 * k];
+            let codes = vec![qv; k];
+            let sums = block_sums(&codes);
+            let scales = vec![1.0f64; 4];
+            let wscale = vec![1.0f64; 8 * 2];
+            let act = Q8Act { codes: &codes, scales: &scales, sums: &sums };
+            let w = W4Cols { wu: &wu, wscale: &wscale, wscale_stride: 8, blocks_per_group: 2 };
+            let wint = wv as i32 - 64;
+            let want = (k as i32 * wint * qv as i32) as f32;
+            assert_eq!(w4a8_tile8(act, w), [want; 8], "wu {wv}, qa {qv}");
+            assert_tile_paths_agree(act, w, &format!("wu {wv}, qa {qv}"));
+        }
+    }
+
+    #[test]
+    fn all_zero_blocks_fold_to_zero() {
+        let k = 3 * 32;
+        let mut rng = Rng(7);
+        let wu: Vec<u8> = (0..8 * k).map(|_| (rng.next() % 129) as u8).collect();
+        let codes = vec![0i8; k];
+        let sums = vec![0i32; 3];
+        let scales = vec![0f64; 3];
+        let wscale = vec![0.5f64; 3 * 8];
+        let act = Q8Act { codes: &codes, scales: &scales, sums: &sums };
+        let w = W4Cols { wu: &wu, wscale: &wscale, wscale_stride: 8, blocks_per_group: 1 };
+        assert_eq!(w4a8_tile8(act, w).map(f32::to_bits), [0f32.to_bits(); 8]);
+        assert_tile_paths_agree(act, w, "zero row");
+    }
+
+    #[test]
+    fn scalar_reference_serves_column_remainders() {
+        // Any column count through the scalar path equals the matching
+        // lanes of the eight-column tile.
+        let k = 2 * 32;
+        let mut rng = Rng(0xABCD);
+        let wu: Vec<u8> = (0..8 * k).map(|_| (rng.next() % 129) as u8).collect();
+        let codes: Vec<i8> = (0..k).map(|_| ((rng.next() % 255) as i32 - 127) as i8).collect();
+        let sums = block_sums(&codes);
+        let scales = vec![0.01f64, 0.02];
+        let wscale: Vec<f64> = (0..8).map(|i| 0.1 * i as f64).collect();
+        let act = Q8Act { codes: &codes, scales: &scales, sums: &sums };
+        let full = w4a8_tile8(
+            act,
+            W4Cols { wu: &wu, wscale: &wscale, wscale_stride: 8, blocks_per_group: 2 },
+        );
+        for cols in 1..8 {
+            let mut part = vec![0f32; cols];
+            let w = W4Cols {
+                wu: &wu[..cols * k],
+                wscale: &wscale[..cols],
+                wscale_stride: 8,
+                blocks_per_group: 2,
+            };
+            w4a8_cols_scalar(act, w, &mut part);
+            assert_eq!(part, full[..cols], "{cols} columns");
+        }
+    }
+
+    #[test]
+    fn tile_self_test_passes_on_healthy_hardware() {
+        assert!(w4a8_tile_self_test());
+        assert!(w4a8_tile_self_test(), "cached result stays true");
     }
 
     #[test]
     #[should_panic(expected = "whole 32-blocks")]
-    fn block_dot_rejects_ragged_lengths() {
-        let w = vec![0u8; 33];
-        let a = vec![0i8; 33];
-        let mut dots = vec![0i32; 1];
-        block_dots_u8i8(&w, &a, &mut dots);
+    fn tile_rejects_ragged_rows() {
+        let codes = vec![0i8; 33];
+        let act = Q8Act { codes: &codes, scales: &[0.0], sums: &[0] };
+        let w = W4Cols { wu: &[0; 8 * 33], wscale: &[0.0; 8], wscale_stride: 8, blocks_per_group: 1 };
+        w4a8_tile8(act, w);
+    }
+
+    #[test]
+    #[should_panic(expected = "too short")]
+    fn tile_rejects_short_weight_scales() {
+        let codes = vec![0i8; 64];
+        let act = Q8Act { codes: &codes, scales: &[0.0; 2], sums: &[0; 2] };
+        let w = W4Cols { wu: &[0; 8 * 64], wscale: &[0.0; 15], wscale_stride: 8, blocks_per_group: 1 };
+        w4a8_tile8(act, w);
     }
 
     #[test]

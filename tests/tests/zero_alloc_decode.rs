@@ -8,8 +8,9 @@
 //! **zero** heap allocations — on the LUT gather tier
 //! (`LutPolicy::Always`, packed planes + SWAR/AVX2 gather), on the
 //! direct per-MAC tier (`LutPolicy::Never`), and on the W4A8
-//! integer-activation tier (`ActPolicy::Always`, Q8 codes, scales,
-//! compensation sums and block dots all in arena-recycled buffers).
+//! integer-activation tier (`ActPolicy::Always`, the call's Q8 codes,
+//! scales and compensation sums in arena-recycled buffers) at m = 1, 8
+//! and 64.
 //!
 //! Two dispatch regimes are covered:
 //!
@@ -141,29 +142,38 @@ fn steady_state_decode_allocates_nothing() {
         });
     });
 
-    // W4A8 integer-activation tier: the per-call Q8 row quantization and
-    // the per-column block dots all land in arena-recycled buffers, so
-    // once warm the integer tier must be just as allocation-free as the
-    // LUT tiers — serially and across a 4-worker column-shard fan-out.
-    for threads in [1usize, 4] {
-        axcore_parallel::with_threads(threads, || {
-            axcore_parallel::with_exec_mode(ExecMode::Pooled, || {
-                with_act_policy(ActPolicy::Always, || {
-                    for _ in 0..3 {
-                        prepared.gemm(&a, 1, &mut out);
-                    }
-                    let count = allocations_during(|| {
-                        for _ in 0..50 {
-                            prepared.gemm(&a, 1, &mut out);
+    // W4A8 integer-activation tier: the per-call Q8 quantization of every
+    // row lands in arena-recycled buffers on the calling thread and the
+    // column tiles keep their partial sums in registers, so once warm
+    // the integer tier must be just as allocation-free as the LUT tiers —
+    // at single-row decode (m = 1), stacked decode (m = 8) and a prefill
+    // panel (m = 64), serially and across a 4-worker column-shard fan-out.
+    let rows: Vec<f32> = (0..64 * k)
+        .map(|i| (i as u64 * 48271 % 65521) as f32 / 32760.5 - 1.0)
+        .collect();
+    let mut out_rows = vec![0f32; 64 * n];
+    for m in [1usize, 8, 64] {
+        let (a, out) = (&rows[..m * k], &mut out_rows[..m * n]);
+        for threads in [1usize, 4] {
+            axcore_parallel::with_threads(threads, || {
+                axcore_parallel::with_exec_mode(ExecMode::Pooled, || {
+                    with_act_policy(ActPolicy::Always, || {
+                        for _ in 0..3 {
+                            prepared.gemm(a, m, out);
                         }
+                        let count = allocations_during(|| {
+                            for _ in 0..50 {
+                                prepared.gemm(a, m, out);
+                            }
+                        });
+                        assert_eq!(
+                            count, 0,
+                            "steady-state W4A8 at m = {m}, {threads} worker(s) made {count} \
+                             heap allocations across 50 calls; expected zero"
+                        );
                     });
-                    assert_eq!(
-                        count, 0,
-                        "steady-state W4A8 decode at {threads} worker(s) made {count} \
-                         heap allocations across 50 calls; expected zero"
-                    );
                 });
             });
-        });
+        }
     }
 }
