@@ -5,15 +5,16 @@
 
 use crate::accum::{NormUnit, PartialAcc, PreparedProduct};
 use crate::axscale::AxScale;
-use crate::engines::prepared::{check_prepared_shapes, drive, drive_lut};
-use crate::engines::{act, check_shapes, lut, GemmEngine, PreparedGemm};
+use crate::engines::prepared::{drive, drive_lut, run_ladder, Ladder};
+use crate::engines::w4a8::W4a8Prep;
+use crate::engines::{check_shapes, lut, GemmEngine, PreparedGemm};
 use crate::error::GemmError;
 use crate::pe::{Pe, WeightLane};
 use crate::preadd::{PreAdd, PreAddTerm};
 use crate::reliability::{self, Verifier};
 use axcore_fpma::snc::SncPolicy;
 use axcore_fpma::MpFpma;
-use axcore_parallel::arena;
+use axcore_parallel::{arena, Tier};
 use axcore_quant::{CodePlanes, QuantFormat, QuantizedMatrix};
 use axcore_softfloat::FpFormat;
 
@@ -193,10 +194,6 @@ impl GemmEngine for AxCoreEngine {
         self.try_preload(w)?.try_gemm(a, m, out)
     }
 
-    fn clone_box(&self) -> Box<dyn GemmEngine> {
-        Box::new(self.clone())
-    }
-
     fn try_prepare(&self, w: &QuantizedMatrix) -> Result<Box<dyn PreparedGemm>, GemmError> {
         Ok(Box::new(self.try_preload(w)?))
     }
@@ -337,7 +334,7 @@ impl AxCoreEngine {
             block_cols: w.block_cols,
             lut_sum: 0,
             direct_sum: 0,
-            w4a8: super::w4a8::W4a8Prep::try_new(w),
+            w4a8: W4a8Prep::try_new(w),
             verifier: Verifier::new(w, ABFT_REL),
         };
         p.lut_sum = p.lut_region_checksum();
@@ -396,7 +393,7 @@ pub struct AxCorePrepared {
     /// W4A8 integer-activation planes, present when every block format
     /// decodes onto the tier's integer grid (see [`super::w4a8`]). Dark
     /// unless the per-call [`super::act::ActPolicy`] engages the tier.
-    w4a8: Option<super::w4a8::W4a8Prep>,
+    w4a8: Option<W4a8Prep>,
     verifier: Verifier,
 }
 
@@ -463,104 +460,8 @@ impl PreparedGemm for AxCorePrepared {
         self.n
     }
 
-    /// The graceful-degradation ladder: try the fastest eligible tier,
-    /// and on a caught panic or a failed check fall through to the next
-    /// (W4A8 when the activation policy engages it → AVX2-LUT →
-    /// SWAR-LUT → direct), quarantining tiers whose *state* proved
-    /// corrupt. If every tier fails, re-prepare from the pristine
-    /// quantized matrix and run the direct path serially. Healthy calls
-    /// run exactly the old single-dispatch path (the ladder's first rung)
-    /// and stay bit-identical and allocation-free.
     fn try_gemm(&self, a: &[f32], m: usize, out: &mut [f32]) -> Result<(), GemmError> {
-        use axcore_parallel::{health, FailReason, Tier};
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-
-        check_prepared_shapes(a, m, self.k, self.n, out)?;
-        let plan = self.verifier.plan();
-        // Per-element table width: every unit × its padded code space.
-        let use_lut = lut::use_lut(self.n, self.units.len() * self.code_space);
-        let mut ladder = [Tier::Direct; 4];
-        let mut len = 0;
-        if act::use_w4a8(self.w4a8.is_some(), m, self.n) && !health::is_quarantined(Tier::W4a8) {
-            ladder[len] = Tier::W4a8;
-            len += 1;
-        }
-        if use_lut {
-            if self.planes.is_packed()
-                && self.avx2_gather_eligible()
-                && !health::is_quarantined(Tier::Avx2Lut)
-            {
-                ladder[len] = Tier::Avx2Lut;
-                len += 1;
-            }
-            if !health::is_quarantined(Tier::SwarLut) {
-                ladder[len] = Tier::SwarLut;
-                len += 1;
-            }
-        }
-        ladder[len] = Tier::Direct;
-        len += 1;
-
-        let mut report = health::ExecReport::new(ladder[0]);
-        for idx in 0..len {
-            let tier = ladder[idx];
-            let next = if idx + 1 < len { ladder[idx + 1] } else { Tier::Direct };
-            // At `Full`, prove the tier's at-rest state before spending
-            // the GEMM on it.
-            if plan.integrity && !self.integrity_ok(tier) {
-                health::quarantine(tier);
-                report.push_downgrade(tier, next, FailReason::ChecksumMismatch);
-                continue;
-            }
-            // The panic guard runs at every policy (it costs nothing on
-            // the success path): a corrupted code plane can drive a
-            // gather index out of bounds, and that must degrade, not
-            // take the process down.
-            let ran = catch_unwind(AssertUnwindSafe(|| self.run_tier(tier, a, m, out)));
-            if ran.is_err() {
-                health::quarantine(tier);
-                report.push_downgrade(tier, next, FailReason::Panic);
-                continue;
-            }
-            if plan.abft && !self.verifier.abft_ok(a, m, self.n, out) {
-                // An ABFT miss alone may be transient (or a tolerance
-                // false positive): quarantine only if the tier's state
-                // is provably corrupt.
-                if !self.integrity_ok(tier) {
-                    health::quarantine(tier);
-                }
-                report.push_downgrade(tier, next, FailReason::AbftMismatch);
-                continue;
-            }
-            report.tier = tier;
-            report.verified = plan.any();
-            if plan.any() || report.n_downgrades() > 0 {
-                health::publish_report(report);
-            }
-            return Ok(());
-        }
-
-        // Every tier failed: the prepared state itself is suspect.
-        // Re-prepare from the pristine quantized weights and run the
-        // direct path serially.
-        let rerun = catch_unwind(AssertUnwindSafe(|| {
-            axcore_parallel::with_threads(1, || {
-                self.src_engine
-                    .try_preload(self.verifier.pristine())
-                    .map(|fresh| fresh.gemm_direct(a, m, out))
-            })
-        }));
-        match rerun {
-            Ok(Ok(())) => {
-                report.tier = Tier::Direct;
-                report.verified = plan.any();
-                report.recovered = true;
-                health::publish_report(report);
-                Ok(())
-            }
-            Ok(Err(e)) => Err(e),
-            Err(_) => Err(GemmError::PoolPanicked { context: "axcore prepared gemm" }),
-        }
+        run_ladder(self, a, m, out)
     }
 
     fn fault_sites(&self) -> &'static [&'static str] {
@@ -608,6 +509,50 @@ fn lane_word(l: WeightLane) -> u64 {
         ^ ((l.sign as u64) | (l.zero_down as u64) << 1 | (l.zero_up as u64) << 2).rotate_left(42)
 }
 
+impl Ladder for AxCorePrepared {
+    const CONTEXT: &'static str = "axcore prepared gemm";
+
+    fn verifier(&self) -> &Verifier {
+        &self.verifier
+    }
+
+    fn w4a8(&self) -> Option<&W4a8Prep> {
+        self.w4a8.as_ref()
+    }
+
+    fn lut_rungs(&self) -> &'static [Tier] {
+        // Per-element table width: every unit × its padded code space.
+        if !lut::use_lut(self.n, self.units.len() * self.code_space) {
+            &[]
+        } else if self.planes.is_packed() && self.avx2_gather_eligible() {
+            &[Tier::Avx2Lut, Tier::SwarLut]
+        } else {
+            &[Tier::SwarLut]
+        }
+    }
+
+    fn state_ok(&self, tier: Tier) -> bool {
+        match tier {
+            Tier::Direct => self.direct_region_checksum() == self.direct_sum,
+            _ => self.lut_region_checksum() == self.lut_sum,
+        }
+    }
+
+    fn run(&self, tier: Tier, a: &[f32], m: usize, out: &mut [f32]) {
+        match tier {
+            Tier::Avx2Lut => self.gemm_lut(a, m, out, true),
+            Tier::SwarLut => self.gemm_lut(a, m, out, false),
+            _ => self.gemm_direct(a, m, out),
+        }
+    }
+
+    fn recover(&self, a: &[f32], m: usize, out: &mut [f32]) -> Result<(), GemmError> {
+        let fresh = self.src_engine.try_preload(self.verifier.pristine())?;
+        fresh.gemm_direct(a, m, out);
+        Ok(())
+    }
+}
+
 impl AxCorePrepared {
     /// Integrity checksum over the state the LUT tiers read: the code
     /// planes, the flattened lane constants, and the shared scales.
@@ -634,31 +579,6 @@ impl AxCorePrepared {
         reliability::fold(h, &self.group_unit_masks, |v| v as u64)
     }
 
-    /// Whether `tier`'s at-rest state still matches its preload checksum.
-    fn integrity_ok(&self, tier: axcore_parallel::Tier) -> bool {
-        use axcore_parallel::Tier;
-        match tier {
-            Tier::W4a8 => self.w4a8.as_ref().is_some_and(|p| p.checksum_ok()),
-            Tier::Avx2Lut | Tier::SwarLut => self.lut_region_checksum() == self.lut_sum,
-            Tier::Direct => self.direct_region_checksum() == self.direct_sum,
-        }
-    }
-
-    /// Execute one ladder rung.
-    fn run_tier(&self, tier: axcore_parallel::Tier, a: &[f32], m: usize, out: &mut [f32]) {
-        use axcore_parallel::Tier;
-        match tier {
-            // The ladder only holds W4a8 when the prep exists; a bare
-            // match still degrades sanely (direct) rather than panicking.
-            Tier::W4a8 => match &self.w4a8 {
-                Some(p) => p.gemm(a, m, out),
-                None => self.gemm_direct(a, m, out),
-            },
-            Tier::Avx2Lut => self.gemm_lut(a, m, out, true),
-            Tier::SwarLut => self.gemm_lut(a, m, out, false),
-            Tier::Direct => self.gemm_direct(a, m, out),
-        }
-    }
     /// Direct per-MAC path: every (element, column) product runs the
     /// PreAdd → PE pipeline against the element's stationary lane.
     fn gemm_direct(&self, a: &[f32], m: usize, out: &mut [f32]) {

@@ -4,11 +4,11 @@
 //! With quantized weights the FPC executes *indirect* GEMM (Fig. 3b): codes
 //! are dequantized to the activation format first, then multiplied exactly.
 
-use crate::engines::prepared::{check_prepared_shapes, drive, verified_single_tier};
+use crate::engines::prepared::{drive, run_ladder, Ladder};
 use crate::engines::{check_shapes, GemmEngine, PreparedGemm};
 use crate::error::GemmError;
 use crate::reliability::{self, Verifier};
-use axcore_parallel::arena;
+use axcore_parallel::{arena, Tier};
 use axcore_quant::QuantizedMatrix;
 use axcore_softfloat::FpFormat;
 
@@ -49,10 +49,6 @@ impl GemmEngine for ExactEngine {
     ) -> Result<(), GemmError> {
         check_shapes(a, m, w, out)?;
         self.preload(w).try_gemm(a, m, out)
-    }
-
-    fn clone_box(&self) -> Box<dyn GemmEngine> {
-        Box::new(*self)
     }
 
     fn try_prepare(&self, w: &QuantizedMatrix) -> Result<Box<dyn PreparedGemm>, GemmError> {
@@ -117,19 +113,7 @@ impl PreparedGemm for ExactPrepared {
     }
 
     fn try_gemm(&self, a: &[f32], m: usize, out: &mut [f32]) -> Result<(), GemmError> {
-        check_prepared_shapes(a, m, self.k, self.n, out)?;
-        verified_single_tier(
-            &self.verifier,
-            axcore_parallel::Tier::Direct,
-            "exact prepared gemm",
-            a,
-            m,
-            self.n,
-            out,
-            |o| self.run(a, m, o),
-            || state_checksum(&self.wr) == self.state_sum,
-            |o| ExactEngine::new(self.act).preload(self.verifier.pristine()).run(a, m, o),
-        )
+        run_ladder(self, a, m, out)
     }
 
     fn fault_sites(&self) -> &'static [&'static str] {
@@ -154,10 +138,30 @@ impl PreparedGemm for ExactPrepared {
     }
 }
 
+impl Ladder for ExactPrepared {
+    const CONTEXT: &'static str = "exact prepared gemm";
+
+    fn verifier(&self) -> &Verifier {
+        &self.verifier
+    }
+
+    fn state_ok(&self, _tier: Tier) -> bool {
+        state_checksum(&self.wr) == self.state_sum
+    }
+
+    fn run(&self, _tier: Tier, a: &[f32], m: usize, out: &mut [f32]) {
+        self.gemm_direct(a, m, out);
+    }
+
+    fn recover(&self, a: &[f32], m: usize, out: &mut [f32]) -> Result<(), GemmError> {
+        ExactEngine::new(self.act).preload(self.verifier.pristine()).gemm_direct(a, m, out);
+        Ok(())
+    }
+}
+
 impl ExactPrepared {
-    /// The unverified execution path (shared by normal calls and the
-    /// recovery re-execution).
-    fn run(&self, a: &[f32], m: usize, out: &mut [f32]) {
+    /// The direct path, the engine's only rung.
+    fn gemm_direct(&self, a: &[f32], m: usize, out: &mut [f32]) {
         let (k, n) = (self.k, self.n);
         let mk = || ExactScratch { row: usize::MAX, arow: arena::take(k, 0f64) };
         drive(m, k, n, 1, out, mk, |s: &mut ExactScratch, i, col0, cols| {

@@ -7,12 +7,13 @@
 //! paper describes for its FPMA baseline. No subnormal handling, no
 //! compensation.
 
-use crate::engines::prepared::{check_prepared_shapes, drive, drive_lut, verified_single_tier};
-use crate::engines::{act, check_shapes, lut, GemmEngine, PreparedGemm};
+use crate::engines::prepared::{drive, drive_lut, run_ladder, Ladder};
+use crate::engines::w4a8::W4a8Prep;
+use crate::engines::{check_shapes, lut, GemmEngine, PreparedGemm};
 use crate::error::GemmError;
 use crate::reliability::{self, Verifier};
 use axcore_fpma::uniform::fpma_mul;
-use axcore_parallel::arena;
+use axcore_parallel::{arena, Tier};
 use axcore_quant::QuantizedMatrix;
 use axcore_softfloat::{FpFormat, FP32};
 use std::collections::HashMap;
@@ -48,10 +49,6 @@ impl GemmEngine for FpmaEngine {
     ) -> Result<(), GemmError> {
         check_shapes(a, m, w, out)?;
         self.preload(w).try_gemm(a, m, out)
-    }
-
-    fn clone_box(&self) -> Box<dyn GemmEngine> {
-        Box::new(*self)
     }
 
     fn try_prepare(&self, w: &QuantizedMatrix) -> Result<Box<dyn PreparedGemm>, GemmError> {
@@ -98,7 +95,7 @@ impl FpmaEngine {
             k: w.k,
             n: w.n,
             state_sum,
-            w4a8: super::w4a8::W4a8Prep::try_new(w),
+            w4a8: W4a8Prep::try_new(w),
             verifier: Verifier::new(w, ABFT_REL),
         }
     }
@@ -129,7 +126,7 @@ pub struct FpmaPrepared {
     state_sum: u64,
     /// W4A8 integer-activation planes, present when every block format
     /// decodes onto the tier's integer grid (see [`super::w4a8`]).
-    w4a8: Option<super::w4a8::W4a8Prep>,
+    w4a8: Option<W4a8Prep>,
     verifier: Verifier,
 }
 
@@ -157,49 +154,12 @@ impl PreparedGemm for FpmaPrepared {
     }
 
     fn try_gemm(&self, a: &[f32], m: usize, out: &mut [f32]) -> Result<(), GemmError> {
-        check_prepared_shapes(a, m, self.k, self.n, out)?;
-        // W4A8 integer-activation tier (opt-in, lossy): verified like any
-        // single-tier run, recovering onto the FP direct path — which also
-        // serves as the quarantine fallback.
-        if let Some(w4a8) = self
-            .w4a8
-            .as_ref()
-            .filter(|_| act::use_w4a8(true, m, self.n))
-            .filter(|_| !axcore_parallel::health::is_quarantined(axcore_parallel::Tier::W4a8))
-        {
-            return verified_single_tier(
-                &self.verifier,
-                axcore_parallel::Tier::W4a8,
-                "fpma prepared gemm",
-                a,
-                m,
-                self.n,
-                out,
-                |o| w4a8.gemm(a, m, o),
-                || w4a8.checksum_ok(),
-                |o| self.gemm_direct(a, m, o),
-            );
-        }
-        verified_single_tier(
-            &self.verifier,
-            if lut::use_lut(self.n, self.palette.len()) {
-                axcore_parallel::Tier::SwarLut
-            } else {
-                axcore_parallel::Tier::Direct
-            },
-            "fpma prepared gemm",
-            a,
-            m,
-            self.n,
-            out,
-            |o| self.run(a, m, o),
-            || state_checksum(&self.wr, &self.palette, &self.pidx) == self.state_sum,
-            |o| {
-                FpmaEngine::new(self.act)
-                    .preload(self.verifier.pristine())
-                    .gemm_direct(a, m, o)
-            },
-        )
+        run_ladder(self, a, m, out)
+    }
+
+    #[cfg(test)]
+    fn corrupt_w4a8(&mut self) -> bool {
+        self.w4a8.as_mut().map(W4a8Prep::corrupt).is_some()
     }
 
     fn fault_sites(&self) -> &'static [&'static str] {
@@ -229,16 +189,44 @@ impl PreparedGemm for FpmaPrepared {
     }
 }
 
-impl FpmaPrepared {
-    /// The unverified execution path (LUT/direct dispatch).
-    fn run(&self, a: &[f32], m: usize, out: &mut [f32]) {
+impl Ladder for FpmaPrepared {
+    const CONTEXT: &'static str = "fpma prepared gemm";
+
+    fn verifier(&self) -> &Verifier {
+        &self.verifier
+    }
+
+    fn w4a8(&self) -> Option<&W4a8Prep> {
+        self.w4a8.as_ref()
+    }
+
+    fn lut_rungs(&self) -> &'static [Tier] {
         if lut::use_lut(self.n, self.palette.len()) {
-            self.gemm_lut(a, m, out);
+            &[Tier::SwarLut]
         } else {
-            self.gemm_direct(a, m, out);
+            &[]
         }
     }
 
+    /// One checksum covers both rungs' tables.
+    fn state_ok(&self, _tier: Tier) -> bool {
+        state_checksum(&self.wr, &self.palette, &self.pidx) == self.state_sum
+    }
+
+    fn run(&self, tier: Tier, a: &[f32], m: usize, out: &mut [f32]) {
+        match tier {
+            Tier::SwarLut => self.gemm_lut(a, m, out),
+            _ => self.gemm_direct(a, m, out),
+        }
+    }
+
+    fn recover(&self, a: &[f32], m: usize, out: &mut [f32]) -> Result<(), GemmError> {
+        FpmaEngine::new(self.act).preload(self.verifier.pristine()).gemm_direct(a, m, out);
+        Ok(())
+    }
+}
+
+impl FpmaPrepared {
     fn gemm_direct(&self, a: &[f32], m: usize, out: &mut [f32]) {
         let (k, n) = (self.k, self.n);
         let mk = || FpmaScratch { row: usize::MAX, arow: arena::take(k, 0u32) };

@@ -8,11 +8,12 @@
 //! differ in hardware cost (modelled in `axcore-hwmodel`), not numerics, so
 //! both share this implementation with different names.
 
-use crate::engines::prepared::{check_prepared_shapes, drive, drive_lut, verified_single_tier};
-use crate::engines::{act, check_shapes, lut, GemmEngine, PreparedGemm};
+use crate::engines::prepared::{drive, drive_lut, run_ladder, Ladder};
+use crate::engines::w4a8::W4a8Prep;
+use crate::engines::{check_shapes, lut, GemmEngine, PreparedGemm};
 use crate::error::GemmError;
 use crate::reliability::{self, Verifier};
-use axcore_parallel::arena;
+use axcore_parallel::{arena, Tier};
 use axcore_quant::{CodePlanes, QuantFormat, QuantizedMatrix};
 use axcore_softfloat::FpFormat;
 
@@ -47,14 +48,8 @@ pub struct IntFpPrepared {
     /// W4A8 integer-activation planes, present when every block format
     /// decodes onto the tier's integer grid — INT4, not INT8 (see
     /// [`super::w4a8`]).
-    w4a8: Option<super::w4a8::W4a8Prep>,
+    w4a8: Option<W4a8Prep>,
     verifier: Verifier,
-}
-
-/// Shared weight preload for the exact INT-FP engines (panicking shim
-/// over [`try_int_fp_preload`], kept for tests and legacy call sites).
-fn int_fp_preload(act: FpFormat, w: &QuantizedMatrix) -> IntFpPrepared {
-    try_int_fp_preload(act, w).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Integrity checksum over every weight-derived table the two execution
@@ -112,7 +107,7 @@ fn try_int_fp_preload(act: FpFormat, w: &QuantizedMatrix) -> Result<IntFpPrepare
         n: w.n,
         group_size: w.group_size,
         state_sum,
-        w4a8: super::w4a8::W4a8Prep::try_new(w),
+        w4a8: W4a8Prep::try_new(w),
         verifier: Verifier::new(w, ABFT_REL),
     })
 }
@@ -145,48 +140,12 @@ impl PreparedGemm for IntFpPrepared {
     }
 
     fn try_gemm(&self, a: &[f32], m: usize, out: &mut [f32]) -> Result<(), GemmError> {
-        check_prepared_shapes(a, m, self.k, self.n, out)?;
-        // W4A8 integer-activation tier (opt-in, lossy): verified like any
-        // single-tier run, recovering onto the FP direct path — which also
-        // serves as the quarantine fallback.
-        if let Some(w4a8) = self
-            .w4a8
-            .as_ref()
-            .filter(|_| act::use_w4a8(true, m, self.n))
-            .filter(|_| !axcore_parallel::health::is_quarantined(axcore_parallel::Tier::W4a8))
-        {
-            return verified_single_tier(
-                &self.verifier,
-                axcore_parallel::Tier::W4a8,
-                "int-fp prepared gemm",
-                a,
-                m,
-                self.n,
-                out,
-                |o| w4a8.gemm(a, m, o),
-                || w4a8.checksum_ok(),
-                |o| self.gemm_direct(a, m, o),
-            );
-        }
-        let span = 2 * self.vmax as usize + 2;
-        verified_single_tier(
-            &self.verifier,
-            if lut::use_lut(self.n, span) {
-                axcore_parallel::Tier::SwarLut
-            } else {
-                axcore_parallel::Tier::Direct
-            },
-            "int-fp prepared gemm",
-            a,
-            m,
-            self.n,
-            out,
-            |o| self.run(a, m, o),
-            || state_checksum(&self.dec, &self.scales, &self.planes) == self.state_sum,
-            |o| {
-                int_fp_preload(self.act, self.verifier.pristine()).gemm_direct(a, m, o);
-            },
-        )
+        run_ladder(self, a, m, out)
+    }
+
+    #[cfg(test)]
+    fn corrupt_w4a8(&mut self) -> bool {
+        self.w4a8.as_mut().map(W4a8Prep::corrupt).is_some()
     }
 
     fn fault_sites(&self) -> &'static [&'static str] {
@@ -222,17 +181,44 @@ impl PreparedGemm for IntFpPrepared {
     }
 }
 
-impl IntFpPrepared {
-    /// The unverified execution path (LUT/direct dispatch).
-    fn run(&self, a: &[f32], m: usize, out: &mut [f32]) {
-        let span = 2 * self.vmax as usize + 2;
-        if lut::use_lut(self.n, span) {
-            self.gemm_lut(a, m, out);
+impl Ladder for IntFpPrepared {
+    const CONTEXT: &'static str = "int-fp prepared gemm";
+
+    fn verifier(&self) -> &Verifier {
+        &self.verifier
+    }
+
+    fn w4a8(&self) -> Option<&W4a8Prep> {
+        self.w4a8.as_ref()
+    }
+
+    fn lut_rungs(&self) -> &'static [Tier] {
+        if lut::use_lut(self.n, 2 * self.vmax as usize + 2) {
+            &[Tier::SwarLut]
         } else {
-            self.gemm_direct(a, m, out);
+            &[]
         }
     }
 
+    /// One checksum covers both rungs' state.
+    fn state_ok(&self, _tier: Tier) -> bool {
+        state_checksum(&self.dec, &self.scales, &self.planes) == self.state_sum
+    }
+
+    fn run(&self, tier: Tier, a: &[f32], m: usize, out: &mut [f32]) {
+        match tier {
+            Tier::SwarLut => self.gemm_lut(a, m, out),
+            _ => self.gemm_direct(a, m, out),
+        }
+    }
+
+    fn recover(&self, a: &[f32], m: usize, out: &mut [f32]) -> Result<(), GemmError> {
+        try_int_fp_preload(self.act, self.verifier.pristine())?.gemm_direct(a, m, out);
+        Ok(())
+    }
+}
+
+impl IntFpPrepared {
     fn gemm_direct(&self, a: &[f32], m: usize, out: &mut [f32]) {
         let (k, n) = (self.k, self.n);
         let gs = self.group_size;
@@ -374,10 +360,6 @@ impl GemmEngine for FignaEngine {
         try_int_fp_preload(self.act, w)?.try_gemm(a, m, out)
     }
 
-    fn clone_box(&self) -> Box<dyn GemmEngine> {
-        Box::new(*self)
-    }
-
     fn try_prepare(&self, w: &QuantizedMatrix) -> Result<Box<dyn PreparedGemm>, GemmError> {
         Ok(Box::new(try_int_fp_preload(self.act, w)?))
     }
@@ -411,10 +393,6 @@ impl GemmEngine for FiglutEngine {
     ) -> Result<(), GemmError> {
         check_shapes(a, m, w, out)?;
         try_int_fp_preload(self.act, w)?.try_gemm(a, m, out)
-    }
-
-    fn clone_box(&self) -> Box<dyn GemmEngine> {
-        Box::new(*self)
     }
 
     fn try_prepare(&self, w: &QuantizedMatrix) -> Result<Box<dyn PreparedGemm>, GemmError> {
@@ -467,7 +445,7 @@ mod tests {
             let q = GroupQuantizer::fixed(fmt, 32).quantize(&w, k, n);
             let mut a: Vec<f32> = (0..m * k).map(|i| (i * 47 % 71) as f32 / 35.0 - 1.0).collect();
             a[7] = 0.0;
-            let p = int_fp_preload(FP16, &q);
+            let p = try_int_fp_preload(FP16, &q).unwrap();
             let mut out_d = vec![0f32; m * n];
             let mut out_l = vec![0f32; m * n];
             with_lut_policy(LutPolicy::Never, || p.gemm(&a, m, &mut out_d));

@@ -27,7 +27,7 @@ pub use exact::ExactEngine;
 pub use fpma::FpmaEngine;
 pub use int_fp::{FignaEngine, FiglutEngine};
 pub use lut::{current_lut_policy, with_lut_policy, LutPolicy};
-pub use prepared::{FallbackPrepared, PreparedGemm};
+pub use prepared::PreparedGemm;
 pub use tender::TenderEngine;
 
 use crate::error::GemmError;
@@ -68,18 +68,9 @@ pub trait GemmEngine: std::fmt::Debug + Send + Sync {
         self.try_gemm(a, m, w, out).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Clone this engine behind the trait object (used by the default
-    /// [`prepare`](GemmEngine::prepare) implementation).
-    fn clone_box(&self) -> Box<dyn GemmEngine>;
-
     /// Preload a weight matrix into this engine's stationary form,
-    /// reporting weight-format problems as a [`GemmError`]. The default
-    /// implementation falls back to re-running
-    /// [`gemm`](GemmEngine::gemm) per call; every engine in this crate
-    /// overrides it with a real prepared state.
-    fn try_prepare(&self, w: &QuantizedMatrix) -> Result<Box<dyn PreparedGemm>, GemmError> {
-        Ok(Box::new(FallbackPrepared::new(self.clone_box(), w.clone())))
-    }
+    /// reporting weight-format problems as a [`GemmError`].
+    fn try_prepare(&self, w: &QuantizedMatrix) -> Result<Box<dyn PreparedGemm>, GemmError>;
 
     /// Preload a weight matrix into this engine's stationary form — the
     /// systolic weight-preload phase.
@@ -121,21 +112,7 @@ pub(crate) fn check_shapes(
     w: &QuantizedMatrix,
     out: &[f32],
 ) -> Result<(), GemmError> {
-    if a.len() != m * w.k {
-        return Err(GemmError::DimMismatch {
-            what: "activation shape mismatch",
-            expected: m * w.k,
-            got: a.len(),
-        });
-    }
-    if out.len() != m * w.n {
-        return Err(GemmError::DimMismatch {
-            what: "output shape mismatch",
-            expected: m * w.n,
-            got: out.len(),
-        });
-    }
-    Ok(())
+    prepared::check_prepared_shapes(a, m, w.k, w.n, out)
 }
 
 /// Reference double-precision GEMM against a dense `f32` weight matrix

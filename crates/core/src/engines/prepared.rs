@@ -36,13 +36,25 @@
 //! **bit-identical at any thread count**, which
 //! `tests/parallel_exactness.rs` locks in property-tests.
 //!
+//! # Verified execution
+//!
+//! Every prepared engine runs its calls through one driver,
+//! [`run_ladder`]: the engine declares its rungs through [`Ladder`]
+//! (which LUT rungs a call may use, a per-rung integrity check, how to
+//! run a rung, how to recover from the pristine matrix) and the driver
+//! walks the tier ladder W4A8 → AVX2-LUT → SWAR-LUT → direct with
+//! quarantine, panic containment, ABFT and a published
+//! [`axcore_parallel::ExecReport`] (DESIGN.md §7).
+//!
 //! [`WeightLane`]: crate::pe::WeightLane
 //! [`GemmEngine::gemm`]: crate::engines::GemmEngine::gemm
 //! [`GemmEngine::prepare`]: crate::engines::GemmEngine::prepare
 
-use crate::engines::GemmEngine;
+use crate::engines::act;
+use crate::engines::w4a8::W4a8Prep;
 use crate::error::GemmError;
-use axcore_quant::QuantizedMatrix;
+use crate::reliability::Verifier;
+use axcore_parallel::{health, FailReason, Tier};
 
 /// A weight matrix preloaded into one engine's stationary form.
 ///
@@ -100,10 +112,18 @@ pub trait PreparedGemm: std::fmt::Debug + Send + Sync {
     fn inject_fault(&mut self, _site: &str, _word: usize, _bit: u32) -> bool {
         false
     }
+
+    /// Test hook: corrupt the W4A8 planes (their stored checksum goes
+    /// stale). Returns whether this prepared state has W4A8 planes. Not
+    /// a fault site, so the fault campaign's sweep does not see it.
+    #[cfg(test)]
+    fn corrupt_w4a8(&mut self) -> bool {
+        false
+    }
 }
 
 /// Shape check shared by the prepared implementations.
-pub(crate) fn check_prepared_shapes(
+pub(super) fn check_prepared_shapes(
     a: &[f32],
     m: usize,
     k: usize,
@@ -277,100 +297,248 @@ pub(crate) fn drive_lut<T, MkT, B, G>(
     });
 }
 
-/// Shared verified-execution wrapper for the single-ladder engines
-/// (everything except AxCore, which walks a three-tier ladder instead).
+/// One prepared engine's rungs on the tier ladder (DESIGN.md §7): the
+/// engine-specific half of verified execution. [`run_ladder`] owns the
+/// rest — the W4A8 rung, quarantine, panic containment, ABFT, pristine
+/// recovery and the published report.
+pub(crate) trait Ladder: PreparedGemm {
+    /// Names the engine in the [`GemmError::PoolPanicked`] returned when
+    /// even the pristine recovery panics.
+    const CONTEXT: &'static str;
+
+    /// The ABFT verifier and pristine weight copy captured at prepare
+    /// time.
+    fn verifier(&self) -> &Verifier;
+
+    /// The W4A8 planes, when the weights are eligible for that rung.
+    fn w4a8(&self) -> Option<&W4a8Prep> {
+        None
+    }
+
+    /// The bit-exact LUT rungs (`Avx2Lut`, `SwarLut`) this call may use
+    /// above `Direct`, fastest first: the engine's [`lut::use_lut`]
+    /// decision and kernel eligibility, before quarantine.
+    ///
+    /// [`lut::use_lut`]: crate::engines::lut::use_lut
+    fn lut_rungs(&self) -> &'static [Tier] {
+        &[]
+    }
+
+    /// Whether the at-rest state bit-exact rung `tier` reads still
+    /// matches its prepare-time checksum.
+    fn state_ok(&self, tier: Tier) -> bool;
+
+    /// Execute bit-exact rung `tier` (a LUT rung or `Direct`).
+    fn run(&self, tier: Tier, a: &[f32], m: usize, out: &mut [f32]);
+
+    /// Re-prepare from the pristine quantized matrix and run the direct
+    /// path.
+    fn recover(&self, a: &[f32], m: usize, out: &mut [f32]) -> Result<(), GemmError>;
+}
+
+/// The verified-execution driver every prepared engine's `try_gemm`
+/// runs: the graceful-degradation ladder of DESIGN.md §7.
 ///
-/// Runs `run(out)` under a panic guard, then applies the active
-/// [`VerifyPlan`]: `state_ok()` recomputes the engine's integrity
-/// checksum at `Full`, the ABFT row check runs per the plan. On any
-/// failure the call **recovers**: `recover(out)` re-executes from
-/// pristine weight state, serially, and the downgrade is published as an
-/// [`axcore_parallel::ExecReport`]. The caller gets `Ok` with a correct
-/// output unless even the recovery re-execution panics.
+/// The ladder is W4A8 (when [`act::use_w4a8`] engages it on eligible
+/// weights) → the engine's [`Ladder::lut_rungs`] → `Direct`, minus
+/// quarantined rungs; `Direct` is always last and never skipped. Each
+/// rung is tried in turn: at `Full` its at-rest state is proven before
+/// the GEMM runs, the GEMM runs under a panic guard (free on the success
+/// path, at every policy — a corrupted code plane can drive a gather out
+/// of bounds), and the ABFT check runs per the active [`VerifyPlan`]. A
+/// failed rung is recorded as a downgrade; checksum failures and panics
+/// quarantine it, an ABFT miss only when the rung's state is provably
+/// corrupt (a miss alone may be transient). If every rung fails, the
+/// call re-prepares from the pristine matrix and runs the direct path
+/// serially (`recovered`). At `Off` a healthy call does no checksum work
+/// and publishes nothing, so it stays bit-identical and allocation-free.
 ///
 /// [`VerifyPlan`]: crate::reliability::VerifyPlan
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn verified_single_tier<Run, StateOk, Recover>(
-    verifier: &crate::reliability::Verifier,
-    tier: axcore_parallel::Tier,
-    context: &'static str,
+pub(crate) fn run_ladder<L: Ladder>(
+    p: &L,
     a: &[f32],
     m: usize,
-    n: usize,
     out: &mut [f32],
-    run: Run,
-    state_ok: StateOk,
-    recover: Recover,
-) -> Result<(), GemmError>
-where
-    Run: Fn(&mut [f32]),
-    StateOk: Fn() -> bool,
-    Recover: FnOnce(&mut [f32]),
-{
-    use axcore_parallel::{health, FailReason, Tier};
+) -> Result<(), GemmError> {
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
+    let n = p.n();
+    check_prepared_shapes(a, m, p.k(), n, out)?;
+    let verifier = p.verifier();
     let plan = verifier.plan();
-    let ran = catch_unwind(AssertUnwindSafe(|| run(out)));
-    let integ_ok = !plan.integrity || state_ok();
-    let abft_ok = ran.is_ok() && (!plan.abft || verifier.abft_ok(a, m, n, out));
-    if ran.is_ok() && integ_ok && abft_ok {
-        if plan.any() {
-            let mut report = health::ExecReport::new(tier);
-            report.verified = true;
-            health::publish_report(report);
+    let w4a8 = p.w4a8();
+    let engage_w4a8 = act::use_w4a8(w4a8.is_some(), m, n).then_some(Tier::W4a8);
+    let mut rungs = [Tier::Direct; 4];
+    let mut len = 0;
+    for tier in engage_w4a8.into_iter().chain(p.lut_rungs().iter().copied()) {
+        if !health::is_quarantined(tier) {
+            rungs[len] = tier;
+            len += 1;
         }
-        return Ok(());
     }
-    let reason = if ran.is_err() {
-        FailReason::Panic
-    } else if !integ_ok {
-        FailReason::ChecksumMismatch
-    } else {
-        FailReason::AbftMismatch
-    };
+    // `rungs[len]` still holds the `Direct` it was filled with.
+    let rungs = &rungs[..=len];
+
+    let mut report = health::ExecReport::new(rungs[0]);
+    for (i, &tier) in rungs.iter().enumerate() {
+        let next = rungs.get(i + 1).copied().unwrap_or(Tier::Direct);
+        let state_ok = || match (tier, w4a8) {
+            (Tier::W4a8, Some(w)) => w.checksum_ok(),
+            _ => p.state_ok(tier),
+        };
+        let mut ran_ok = || {
+            catch_unwind(AssertUnwindSafe(|| match (tier, w4a8) {
+                (Tier::W4a8, Some(w)) => w.gemm(a, m, out),
+                _ => p.run(tier, a, m, out),
+            }))
+            .is_ok()
+        };
+        let reason = if plan.integrity && !state_ok() {
+            health::quarantine(tier);
+            FailReason::ChecksumMismatch
+        } else if !ran_ok() {
+            health::quarantine(tier);
+            FailReason::Panic
+        } else if plan.abft && !verifier.abft_ok(a, m, n, out) {
+            if !state_ok() {
+                health::quarantine(tier);
+            }
+            FailReason::AbftMismatch
+        } else {
+            report.tier = tier;
+            report.verified = plan.any();
+            if plan.any() || report.n_downgrades() > 0 {
+                health::publish_report(report);
+            }
+            return Ok(());
+        };
+        report.push_downgrade(tier, next, reason);
+    }
+
+    // Every rung failed: the prepared state itself is suspect.
     let rerun = catch_unwind(AssertUnwindSafe(|| {
-        axcore_parallel::with_threads(1, || recover(out))
+        axcore_parallel::with_threads(1, || p.recover(a, m, out))
     }));
-    if rerun.is_err() {
-        return Err(GemmError::PoolPanicked { context });
-    }
-    let mut report = health::ExecReport::new(tier);
-    report.push_downgrade(tier, Tier::Direct, reason);
-    report.verified = plan.any();
-    report.recovered = true;
-    health::publish_report(report);
-    Ok(())
-}
-
-/// The default [`GemmEngine::prepare`] result for engines without a
-/// specialized prepared form: owns a clone of the engine and the weight
-/// matrix and routes every call through the plain `gemm` path.
-///
-/// [`GemmEngine::prepare`]: crate::engines::GemmEngine::prepare
-#[derive(Debug)]
-pub struct FallbackPrepared {
-    engine: Box<dyn GemmEngine>,
-    w: QuantizedMatrix,
-}
-
-impl FallbackPrepared {
-    /// Wrap an engine and a weight matrix.
-    pub fn new(engine: Box<dyn GemmEngine>, w: QuantizedMatrix) -> Self {
-        FallbackPrepared { engine, w }
+    match rerun {
+        Ok(Ok(())) => {
+            report.tier = Tier::Direct;
+            report.verified = plan.any();
+            report.recovered = true;
+            health::publish_report(report);
+            Ok(())
+        }
+        Ok(Err(e)) => Err(e),
+        Err(_) => Err(GemmError::PoolPanicked { context: L::CONTEXT }),
     }
 }
 
-impl PreparedGemm for FallbackPrepared {
-    fn k(&self) -> usize {
-        self.w.k
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engines::{
+        with_act_policy, with_lut_policy, ActPolicy, FiglutEngine, FignaEngine, FpmaEngine,
+        GemmEngine, LutPolicy,
+    };
+    use crate::reliability::{with_verify_policy, VerifyPolicy};
+    use axcore_quant::{GroupQuantizer, QuantFormat, QuantizedMatrix};
+    use axcore_softfloat::FP16;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Tier quarantine is process-global: serialize these tests and
+    /// start each from clean health state.
+    static HEALTH_LOCK: Mutex<()> = Mutex::new(());
+
+    fn health_guard() -> MutexGuard<'static, ()> {
+        let g = HEALTH_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        health::reset();
+        g
     }
 
-    fn n(&self) -> usize {
-        self.w.n
+    const M: usize = 2;
+    const K: usize = 64;
+    const N: usize = 32;
+
+    fn quantized(fmt: QuantFormat) -> QuantizedMatrix {
+        let w: Vec<f32> =
+            (0..K * N).map(|i| ((i * 2654435761usize % 997) as f32 / 498.5 - 1.0) * 0.4).collect();
+        GroupQuantizer::fixed(fmt, 32).quantize(&w, K, N)
     }
 
-    fn try_gemm(&self, a: &[f32], m: usize, out: &mut [f32]) -> Result<(), GemmError> {
-        self.engine.try_gemm(a, m, &self.w, out)
+    fn acts() -> Vec<f32> {
+        (0..M * K).map(|i| ((i * 40503 % 65536) as f32 / 32768.0 - 1.0) * 1.3).collect()
+    }
+
+    /// One serial call under `Full` verification and the given pins;
+    /// returns the output bits and the published report.
+    fn run(
+        p: &dyn PreparedGemm,
+        act: ActPolicy,
+        lut: LutPolicy,
+    ) -> (Vec<u32>, Option<health::ExecReport>) {
+        let a = acts();
+        let mut out = vec![f32::NAN; M * N];
+        let ((), report) = health::capture_report(|| {
+            axcore_parallel::with_threads(1, || {
+                with_act_policy(act, || {
+                    with_lut_policy(lut, || {
+                        with_verify_policy(VerifyPolicy::Full, || {
+                            p.try_gemm(&a, M, &mut out).unwrap_or_else(|e| panic!("{e}"))
+                        })
+                    })
+                })
+            })
+        });
+        (out.iter().map(|v| v.to_bits()).collect(), report)
+    }
+
+    /// A corrupt W4A8 rung on the engines whose only other rungs are
+    /// SWAR-LUT and direct is quarantined like AxCore's, and the call
+    /// walks on to the bit-exact FP ladder.
+    #[test]
+    fn corrupt_w4a8_rung_is_quarantined_on_fpma_and_figna() {
+        let _g = health_guard();
+        let cases: [(Box<dyn GemmEngine>, QuantFormat); 2] = [
+            (Box::new(FpmaEngine::new(FP16)), QuantFormat::E2M1),
+            (Box::new(FignaEngine::new(FP16)), QuantFormat::INT4),
+        ];
+        for (engine, fmt) in cases {
+            health::reset();
+            let mut p = engine.prepare(&quantized(fmt));
+            let (fp, _) = run(p.as_ref(), ActPolicy::Never, LutPolicy::Auto);
+            assert!(p.corrupt_w4a8(), "{}: weights must be W4A8-eligible", engine.name());
+            let (out, report) = run(p.as_ref(), ActPolicy::Always, LutPolicy::Auto);
+            let report = report.expect("a verified call publishes a report");
+            let first = report.downgrades().next().expect("the W4A8 rung must fail");
+            assert_eq!(first.from, Tier::W4a8, "{}", engine.name());
+            assert_eq!(first.reason, FailReason::ChecksumMismatch, "{}", engine.name());
+            assert!(health::is_quarantined(Tier::W4a8), "{}", engine.name());
+            assert_eq!(out, fp, "{}: fallback must equal the FP path", engine.name());
+        }
+        health::reset();
+    }
+
+    /// A quarantined SWAR-LUT rung (the serve controller's overload level
+    /// 3) sends every LUT engine to the direct rung, with the same bits.
+    #[test]
+    fn lut_quarantine_is_honoured_by_every_engine() {
+        let _g = health_guard();
+        let cases: [(Box<dyn GemmEngine>, QuantFormat); 3] = [
+            (Box::new(FpmaEngine::new(FP16)), QuantFormat::E2M1),
+            (Box::new(FignaEngine::new(FP16)), QuantFormat::INT4),
+            (Box::new(FiglutEngine::new(FP16)), QuantFormat::INT4),
+        ];
+        for (engine, fmt) in cases {
+            health::reset();
+            let p = engine.prepare(&quantized(fmt));
+            let (via_lut, report) = run(p.as_ref(), ActPolicy::Never, LutPolicy::Always);
+            assert_eq!(report.map(|r| r.tier), Some(Tier::SwarLut), "{}", engine.name());
+            health::quarantine(Tier::SwarLut);
+            let (out, report) = run(p.as_ref(), ActPolicy::Never, LutPolicy::Always);
+            let report = report.expect("a verified call publishes a report");
+            assert_eq!(report.tier, Tier::Direct, "{}", engine.name());
+            assert_eq!(report.n_downgrades(), 0, "{}: a quarantined rung is skipped", engine.name());
+            assert_eq!(out, via_lut, "{}: direct must equal the LUT run", engine.name());
+        }
+        health::reset();
     }
 }

@@ -9,11 +9,11 @@
 //! Tender's perplexity far above the weight-only designs) comes from
 //! quantizing the *activations*, which this model reproduces.
 
-use crate::engines::prepared::{check_prepared_shapes, drive, verified_single_tier};
+use crate::engines::prepared::{drive, run_ladder, Ladder};
 use crate::engines::{check_shapes, GemmEngine, PreparedGemm};
 use crate::error::GemmError;
 use crate::reliability::{self, Verifier};
-use axcore_parallel::arena;
+use axcore_parallel::{arena, Tier};
 use axcore_quant::{QuantFormat, QuantizedMatrix};
 
 /// ABFT relative tolerance: activation quantization dominates — A4
@@ -52,10 +52,6 @@ impl GemmEngine for TenderEngine {
     ) -> Result<(), GemmError> {
         check_shapes(a, m, w, out)?;
         self.try_preload(w)?.try_gemm(a, m, out)
-    }
-
-    fn clone_box(&self) -> Box<dyn GemmEngine> {
-        Box::new(*self)
     }
 
     fn try_prepare(&self, w: &QuantizedMatrix) -> Result<Box<dyn PreparedGemm>, GemmError> {
@@ -147,23 +143,7 @@ impl PreparedGemm for TenderPrepared {
     }
 
     fn try_gemm(&self, a: &[f32], m: usize, out: &mut [f32]) -> Result<(), GemmError> {
-        check_prepared_shapes(a, m, self.k, self.n, out)?;
-        verified_single_tier(
-            &self.verifier,
-            axcore_parallel::Tier::Direct,
-            "tender prepared gemm",
-            a,
-            m,
-            self.n,
-            out,
-            |o| self.run(a, m, o),
-            || state_checksum(&self.dec, &self.wscales) == self.state_sum,
-            |o| {
-                if let Ok(fresh) = self.engine.try_preload(self.verifier.pristine()) {
-                    fresh.run(a, m, o);
-                }
-            },
-        )
+        run_ladder(self, a, m, out)
     }
 
     fn fault_sites(&self) -> &'static [&'static str] {
@@ -194,10 +174,30 @@ impl PreparedGemm for TenderPrepared {
     }
 }
 
+impl Ladder for TenderPrepared {
+    const CONTEXT: &'static str = "tender prepared gemm";
+
+    fn verifier(&self) -> &Verifier {
+        &self.verifier
+    }
+
+    fn state_ok(&self, _tier: Tier) -> bool {
+        state_checksum(&self.dec, &self.wscales) == self.state_sum
+    }
+
+    fn run(&self, _tier: Tier, a: &[f32], m: usize, out: &mut [f32]) {
+        self.gemm_direct(a, m, out);
+    }
+
+    fn recover(&self, a: &[f32], m: usize, out: &mut [f32]) -> Result<(), GemmError> {
+        self.engine.try_preload(self.verifier.pristine())?.gemm_direct(a, m, out);
+        Ok(())
+    }
+}
+
 impl TenderPrepared {
-    /// The unverified execution path (shared by normal calls and the
-    /// recovery re-execution).
-    fn run(&self, a: &[f32], m: usize, out: &mut [f32]) {
+    /// The direct path, the engine's only rung.
+    fn gemm_direct(&self, a: &[f32], m: usize, out: &mut [f32]) {
         let (k, n) = (self.k, self.n);
         let gs = self.group_size;
         let groups = k / gs;

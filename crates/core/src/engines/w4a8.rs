@@ -235,6 +235,12 @@ impl W4a8Prep {
         self.compute_checksum() == self.checksum
     }
 
+    /// Test hook: flip one offset-code bit, leaving the checksum stale.
+    #[cfg(test)]
+    pub(crate) fn corrupt(&mut self) {
+        self.wu[0] ^= 0x10;
+    }
+
     /// Columns `c0 .. c0 + cols` in the tile kernel's view: their
     /// offset codes and their per-group weight scales.
     fn cols(&self, c0: usize, cols: usize) -> W4Cols<'_> {

@@ -2,11 +2,13 @@
 //! tiers are quarantined, and what happened during the last verified
 //! GEMM call.
 //!
-//! The engines in `axcore` run a prepared GEMM on one of three tiers
-//! (AVX2-LUT, SWAR-LUT, scalar direct). When a tier fails — a worker
-//! panic caught mid-dispatch, or an integrity/ABFT checksum mismatch —
-//! the engine downgrades to the next tier and records the event here so
-//! the caller can observe it. Two kinds of state live in this module:
+//! The engines in `axcore` run a prepared GEMM on one rung of a four-tier
+//! ladder (W4A8, AVX2-LUT, SWAR-LUT, scalar direct; each engine uses the
+//! rungs its weights support), walked by one driver in `axcore`'s
+//! `engines/prepared.rs`. When a tier fails — a worker panic caught
+//! mid-dispatch, or an integrity/ABFT checksum mismatch — the driver
+//! downgrades to the next tier and records the event here so the caller
+//! can observe it. Two kinds of state live in this module:
 //!
 //! * **Quarantine flags** (process-global atomics): a tier that failed
 //!   an *integrity* check (bit-flip in its private state, or a panic)

@@ -8,11 +8,14 @@
 //! every test here serializes on one mutex and resets health state on
 //! both sides.
 
-use axcore::engines::{with_lut_policy, AxCoreEngine, GemmEngine, LutPolicy};
+use axcore::engines::{
+    with_lut_policy, AxCoreEngine, ExactEngine, FiglutEngine, FignaEngine, FpmaEngine, GemmEngine,
+    LutPolicy, TenderEngine,
+};
 use axcore::{with_verify_policy, VerifyPolicy};
 use axcore_faults::{run_campaign, CampaignConfig};
 use axcore_parallel::{health, ExecReport, FailReason, Tier};
-use axcore_quant::GroupQuantizer;
+use axcore_quant::{GroupQuantizer, QuantFormat};
 use axcore_softfloat::FP16;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -109,32 +112,45 @@ fn corrupted_lut_state_degrades_to_direct_with_report() {
     health::reset();
 }
 
-/// Forced direct-tier corruption with the LUT tiers pinned off: the
-/// ladder exhausts and the call recovers by re-preparing from the
-/// pristine quantized matrix — still bit-identical, `recovered` set.
+/// Forced direct-tier corruption with the LUT tiers pinned off, on
+/// every engine through its direct-state fault site: the ladder exhausts
+/// and the call recovers by re-preparing from the pristine quantized
+/// matrix — still bit-identical, `recovered` set, answered on `Direct`.
 #[test]
 fn corrupted_direct_lanes_recover_from_pristine() {
     let _g = health_guard();
-    let (a, q) = setup(9);
-    let engine = AxCoreEngine::new(FP16);
+    let (a, fp_q) = setup(9);
+    let w: Vec<f32> = (0..K * N).map(|i| ((i * 37 % 101) as f32 / 50.0 - 1.0) * 0.3).collect();
+    let int_q = GroupQuantizer::fixed(QuantFormat::INT4, 32).quantize(&w, K, N);
+    let cases: [(Box<dyn GemmEngine>, &str, &axcore_quant::QuantizedMatrix); 6] = [
+        (Box::new(AxCoreEngine::new(FP16)), "lanes", &fp_q),
+        (Box::new(FpmaEngine::new(FP16)), "weights", &fp_q),
+        (Box::new(ExactEngine::new(FP16)), "weights", &fp_q),
+        (Box::new(FignaEngine::new(FP16)), "dec", &int_q),
+        (Box::new(FiglutEngine::new(FP16)), "dec", &int_q),
+        (Box::new(TenderEngine::new(8, 4)), "dec", &int_q),
+    ];
+    for (engine, site, q) in cases {
+        let name = engine.name();
+        health::reset();
+        let pristine = engine.prepare(q);
+        let mut reference = vec![0f32; M * N];
+        axcore_parallel::with_threads(1, || {
+            with_lut_policy(LutPolicy::Never, || pristine.gemm(&a, M, &mut reference))
+        });
 
-    let pristine = engine.prepare(&q);
-    let mut reference = vec![0f32; M * N];
-    axcore_parallel::with_threads(1, || {
-        with_lut_policy(LutPolicy::Never, || pristine.gemm(&a, M, &mut reference))
-    });
+        let mut p = engine.prepare(q);
+        assert!(p.inject_fault(site, 7, 13), "{name}: no {site} site");
+        let mut out = vec![f32::NAN; M * N];
+        let report = run_full(p.as_ref(), &a, &mut out, LutPolicy::Never)
+            .unwrap_or_else(|| panic!("{name}: recovered call must publish a report"));
 
-    let mut p = engine.prepare(&q);
-    assert!(p.inject_fault("lanes", 7, 13));
-    let mut out = vec![f32::NAN; M * N];
-    let report = run_full(p.as_ref(), &a, &mut out, LutPolicy::Never)
-        .expect("recovered call must publish a report");
-
-    assert!(report.recovered, "must re-execute from pristine state");
-    assert_eq!(report.tier, Tier::Direct);
-    assert!(report.n_downgrades() >= 1);
-    for (j, (r, o)) in reference.iter().zip(&out).enumerate() {
-        assert_eq!(r.to_bits(), o.to_bits(), "elem {j}: {r} != {o}");
+        assert!(report.recovered, "{name}: must re-execute from pristine state");
+        assert_eq!(report.tier, Tier::Direct, "{name}");
+        assert!(report.n_downgrades() >= 1, "{name}");
+        for (j, (r, o)) in reference.iter().zip(&out).enumerate() {
+            assert_eq!(r.to_bits(), o.to_bits(), "{name} elem {j}: {r} != {o}");
+        }
     }
     health::reset();
 }
