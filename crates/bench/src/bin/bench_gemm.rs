@@ -8,7 +8,7 @@
 //!   (the shape where per-call weight preload dominates and prepared
 //!   weights pay off; wide rows use the column-tile split).
 //!
-//! Each shape runs in five configurations:
+//! Each shape runs in these configurations:
 //!
 //! * `seed_per_call` — a faithful reproduction of the engine *before* the
 //!   execution layer existed: weight lanes rebuilt every call, per-MAC
@@ -18,16 +18,11 @@
 //!   per call, but with cached PreAdd terms and flat format indices);
 //! * `parallel_prepared` — `prepare()` once, `gemm_prepared` with the
 //!   direct per-MAC kernel pinned (`LutPolicy::Never`);
-//! * `lut` — `prepare()` once, the LUT tier pinned (`LutPolicy::Always`),
-//!   run exactly as every pre-runtime `BENCH_gemm.json` measured it:
-//!   scoped (per-call) thread spawns, per-call table allocation, byte
-//!   code planes;
-//! * `pooled` (decode only) — the LUT tier on the persistent-pool
-//!   runtime: parked workers, arena-recycled tables, nibble-packed SWAR
-//!   code-plane gathers. `pooled / lut` at equal thread count is the
-//!   runtime's win over the previous execution layer;
-//! * `w4a8` (decode only) — the integer-activation tier on the pooled
-//!   runtime (`ActPolicy::Always`): the activation row Q8-quantized once
+//! * `lut` (prefill) / `pooled` (decode) — `prepare()` once, the LUT
+//!   tier pinned (`LutPolicy::Always`): arena-recycled tables and
+//!   nibble-packed SWAR code-plane gathers;
+//! * `w4a8` (decode only) — the integer-activation tier
+//!   (`ActPolicy::Always`): the activation row Q8-quantized once
 //!   per call, weight blocks folded in as integer dots of 4-bit codes
 //!   against 8-bit activation codes. `pooled / w4a8` at equal thread
 //!   count is the integer tier's win over FP-activation LUT decode.
@@ -36,19 +31,19 @@
 //!   decode) and `prefill_m64x8_w4a8` (8 calls of a 64-row prefill
 //!   panel); their rows/s count activation rows.
 //!
-//! A `spawn_overhead_us` entry reports the per-dispatch cost of one
-//! trivial two-chunk fan-out at two workers in each mode — the scoped
-//! number is the thread-spawn tax the pool deletes.
+//! Every configuration runs on the persistent worker pool. A
+//! `spawn_overhead_us` entry reports the pool's per-dispatch cost of one
+//! trivial two-chunk fan-out at two workers.
 //!
 //! The prepared/LUT configurations are swept over
 //! [`axcore_parallel::thread_sweep`] worker counts — always 1, 2, 4 and
 //! 8, plus the hardware count when it is higher. Every sweep entry
 //! records rows/s, the worker count used, and its `scaling_efficiency`
 //! (rows/s at `t` workers divided by `t ×` the one-worker rows/s of the
-//! same configuration). The headline entries are taken from the sweep
-//! row with the largest worker count that does not oversubscribe the
-//! host (`threads ≤ max_threads`), so the regression gate never compares
-//! an oversubscribed run against a committed baseline. The JSON also
+//! same configuration). The top-level entries are the one-worker sweep
+//! row, so the strict regression gate compares like with like on any
+//! host: this run's one-worker rows/s against the committed file's
+//! one-worker sweep row. The JSON also
 //! records `available_parallelism` and the effective `AXCORE_THREADS`
 //! setting so a sweep is interpretable away from the machine it ran on.
 //!
@@ -64,9 +59,9 @@
 //! plus the relative delta.
 //!
 //! With `AXCORE_BENCH_STRICT=1`, the binary exits non-zero if
-//! `decode_m1x64_lut`, `decode_m1x64_pooled` or `decode_m1x64_w4a8`
-//! rows/s regresses more than 20% against the committed
-//! `BENCH_gemm.json` baseline, if the best prefill configuration's
+//! `decode_m1x64_pooled` or `decode_m1x64_w4a8` rows/s at one worker
+//! regresses more than 20% against the committed `BENCH_gemm.json`
+//! baseline, if the best prefill configuration's
 //! speedup over the seed falls under 3×, if W4A8 decode is not at least
 //! 1.5× the pooled FP-activation LUT decode at one worker, if the W4A8
 //! perplexity delta exceeds the DESIGN.md §10 bound, or — on hosts with
@@ -80,7 +75,6 @@ use axcore::pe::{Pe, WeightLane};
 use axcore::preadd::PreAdd;
 use axcore_fpma::snc::SncPolicy;
 use axcore_fpma::MpFpma;
-use axcore_parallel::ExecMode;
 use axcore_quant::{GroupQuantizer, QuantFormat, QuantizedMatrix};
 use axcore_softfloat::{FpFormat, FP16};
 use std::collections::HashMap;
@@ -176,22 +170,22 @@ fn time_it(reps: usize, mut f: impl FnMut()) -> f64 {
         .fold(f64::MAX, f64::min)
 }
 
-/// Pull `"rows_per_s": <v>` out of the entry named `key` in a previously
-/// committed `BENCH_gemm.json` (no JSON dependency in this workspace, so
-/// this is a plain substring scan over the known layout).
+/// Pull `"rows_per_s": <v>` out of the entry named `key` in the first
+/// (one-worker) `thread_sweep` row of a previously committed
+/// `BENCH_gemm.json` (no JSON dependency in this workspace, so this is a
+/// plain substring scan over the known layout).
 fn baseline_rows_per_s(text: &str, key: &str) -> Option<f64> {
-    let entry = &text[text.find(&format!("\"{key}\""))?..];
+    let sweep = &text[text.find("\"thread_sweep\"")?..];
+    let entry = &sweep[sweep.find(&format!("\"{key}\""))?..];
     let after = &entry[entry.find("\"rows_per_s\":")? + "\"rows_per_s\":".len()..];
     let end = after.find([',', '}'])?;
     after[..end].trim().parse().ok()
 }
 
 /// Per-dispatch overhead of one `par_chunks_mut` fan-out over two chunks
-/// of trivial work at two workers, in microseconds. In `Scoped` mode
-/// every dispatch spawns and joins OS threads; in `Pooled` mode it wakes
-/// parked workers — the difference is the tax the persistent pool
-/// deletes from every parallel GEMM call.
-fn spawn_overhead_us(mode: ExecMode) -> f64 {
+/// of trivial work at two workers, in microseconds: the cost of waking
+/// the parked pool workers and waiting for them to finish.
+fn spawn_overhead_us() -> f64 {
     let mut buf = [0f32; 8];
     let dispatch = |buf: &mut [f32]| {
         axcore_parallel::par_chunks_mut(buf, 4, |ci, chunk| {
@@ -201,16 +195,14 @@ fn spawn_overhead_us(mode: ExecMode) -> f64 {
         });
     };
     axcore_parallel::with_threads(2, || {
-        axcore_parallel::with_exec_mode(mode, || {
-            dispatch(&mut buf); // warm the pool / fault in the machinery
-            let iters = 500;
-            let secs = time_it(3, || {
-                for _ in 0..iters {
-                    dispatch(&mut buf);
-                }
-            });
-            secs * 1e6 / iters as f64
-        })
+        dispatch(&mut buf); // warm the pool / fault in the machinery
+        let iters = 500;
+        let secs = time_it(3, || {
+            for _ in 0..iters {
+                dispatch(&mut buf);
+            }
+        });
+        secs * 1e6 / iters as f64
     })
 }
 
@@ -245,19 +237,14 @@ fn main() {
         .collect();
     let q = GroupQuantizer::adaptive_fp4(64, 4, None).quantize(&w, K, N);
     let engine = AxCoreEngine::new(FP16);
-    // Legacy-faithful engine for the scoped baseline entries: byte code
-    // planes, as every pre-runtime `BENCH_gemm.json` run gathered them.
-    let legacy = AxCoreEngine::new(FP16).with_packed_planes(false);
     // The worker count actually available to the sweep, including any
     // `AXCORE_THREADS` cap — what every entry below reports.
     let max_threads = axcore_parallel::max_threads();
     let sweep = axcore_parallel::thread_sweep();
 
-    // Committed baselines for the strict regression gate, read before
-    // the file is overwritten.
+    // Committed one-worker baselines for the strict regression gate,
+    // read before the file is overwritten.
     let baseline_text = std::fs::read_to_string("BENCH_gemm.json").ok();
-    let baseline_decode_lut =
-        baseline_text.as_deref().and_then(|t| baseline_rows_per_s(t, "decode_m1x64_lut"));
     let baseline_decode_pooled =
         baseline_text.as_deref().and_then(|t| baseline_rows_per_s(t, "decode_m1x64_pooled"));
     let baseline_decode_w4a8 =
@@ -275,19 +262,13 @@ fn main() {
     let mut seed_out = vec![0f32; N];
     seed_gemm(FP16, a_decode, 1, &q, &mut seed_out);
     let seed_bits: Vec<u32> = seed_out.iter().map(|v| v.to_bits()).collect();
-    for mode in [ExecMode::Pooled, ExecMode::Scoped] {
-        for policy in [LutPolicy::Never, LutPolicy::Always] {
-            for eng in [&engine, &legacy] {
-                axcore_parallel::with_exec_mode(mode, || {
-                    with_lut_policy(policy, || eng.gemm(a_decode, 1, &q, &mut out[..N]))
-                });
-                assert_eq!(
-                    seed_bits,
-                    out[..N].iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "seed baseline diverged from current engine ({mode:?}, {policy:?})"
-                );
-            }
-        }
+    for policy in [LutPolicy::Never, LutPolicy::Always] {
+        with_lut_policy(policy, || engine.gemm(a_decode, 1, &q, &mut out[..N]));
+        assert_eq!(
+            seed_bits,
+            out[..N].iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            "seed baseline diverged from current engine ({policy:?})"
+        );
     }
 
     // Serial-by-construction configurations, measured once.
@@ -319,18 +300,14 @@ fn main() {
     // Prepared-weight configurations, swept over worker counts. The LUT
     // policy is pinned per entry so `parallel_prepared` keeps measuring
     // the direct kernel now that the Auto heuristic prefers the LUT tier
-    // on these shapes. The four trajectory entries run in `Scoped` mode
-    // against the byte-plane weights — exactly what every earlier
-    // `BENCH_gemm.json` measured — while `pooled` runs the persistent
-    // runtime (arena scratch + packed SWAR gathers) on the same shapes.
+    // on these shapes.
     let prepared = engine.prepare(&q);
-    let prepared_legacy = legacy.prepare(&q);
     let stacked_rows = (STACKED_M * DECODE_CALLS) as f64;
     let panel_rows = (PANEL_M * PANEL_CALLS) as f64;
     let a_stacked = &a_prefill[..STACKED_M * K];
     let a_panel = &a_prefill[..PANEL_M * K];
     #[allow(clippy::type_complexity)]
-    let mut rows: Vec<(usize, Entry, Entry, Entry, Entry, Entry, Entry, Entry, Entry)> = Vec::new();
+    let mut rows: Vec<(usize, Entry, Entry, Entry, Entry, Entry, Entry, Entry)> = Vec::new();
     for &t in &sweep {
         axcore_parallel::with_threads(t, || {
             // The configurations are measured in alternating rounds
@@ -338,81 +315,57 @@ fn main() {
             // thermal throttling, a co-tenant waking up — lands on
             // every configuration equally instead of biasing whichever
             // one happens to run later.
-            let (mut pp, mut pl, mut dp, mut dl, mut dpo, mut dw, mut dw8, mut pw64) =
-                (f64::MAX, f64::MAX, f64::MAX, f64::MAX, f64::MAX, f64::MAX, f64::MAX, f64::MAX);
+            let [mut pp, mut pl, mut dp, mut dpo, mut dw, mut dw8, mut pw64] = [f64::MAX; 7];
             for _ in 0..5 {
                 pp = pp.min(time_it(1, || {
-                    axcore_parallel::with_exec_mode(ExecMode::Scoped, || {
-                        with_lut_policy(LutPolicy::Never, || {
-                            engine.gemm_prepared(&*prepared_legacy, &a_prefill, PREFILL_M, &mut out)
-                        })
-                    });
+                    with_lut_policy(LutPolicy::Never, || {
+                        engine.gemm_prepared(&*prepared, &a_prefill, PREFILL_M, &mut out)
+                    })
                 }));
                 pl = pl.min(time_it(1, || {
-                    axcore_parallel::with_exec_mode(ExecMode::Scoped, || {
-                        with_lut_policy(LutPolicy::Always, || {
-                            engine.gemm_prepared(&*prepared_legacy, &a_prefill, PREFILL_M, &mut out)
-                        })
-                    });
+                    with_lut_policy(LutPolicy::Always, || {
+                        engine.gemm_prepared(&*prepared, &a_prefill, PREFILL_M, &mut out)
+                    })
                 }));
                 dp = dp.min(time_it(1, || {
-                    axcore_parallel::with_exec_mode(ExecMode::Scoped, || {
-                        with_lut_policy(LutPolicy::Never, || {
-                            for _ in 0..DECODE_CALLS {
-                                engine.gemm_prepared(&*prepared_legacy, a_decode, 1, &mut out[..N]);
-                            }
-                        })
-                    });
-                }));
-                dl = dl.min(time_it(1, || {
-                    axcore_parallel::with_exec_mode(ExecMode::Scoped, || {
-                        with_lut_policy(LutPolicy::Always, || {
-                            for _ in 0..DECODE_CALLS {
-                                engine.gemm_prepared(&*prepared_legacy, a_decode, 1, &mut out[..N]);
-                            }
-                        })
-                    });
+                    with_lut_policy(LutPolicy::Never, || {
+                        for _ in 0..DECODE_CALLS {
+                            engine.gemm_prepared(&*prepared, a_decode, 1, &mut out[..N]);
+                        }
+                    })
                 }));
                 dpo = dpo.min(time_it(1, || {
-                    axcore_parallel::with_exec_mode(ExecMode::Pooled, || {
-                        with_lut_policy(LutPolicy::Always, || {
-                            for _ in 0..DECODE_CALLS {
-                                engine.gemm_prepared(&*prepared, a_decode, 1, &mut out[..N]);
-                            }
-                        })
-                    });
+                    with_lut_policy(LutPolicy::Always, || {
+                        for _ in 0..DECODE_CALLS {
+                            engine.gemm_prepared(&*prepared, a_decode, 1, &mut out[..N]);
+                        }
+                    })
                 }));
                 dw = dw.min(time_it(1, || {
-                    axcore_parallel::with_exec_mode(ExecMode::Pooled, || {
-                        with_act_policy(ActPolicy::Always, || {
-                            for _ in 0..DECODE_CALLS {
-                                engine.gemm_prepared(&*prepared, a_decode, 1, &mut out[..N]);
-                            }
-                        })
-                    });
+                    with_act_policy(ActPolicy::Always, || {
+                        for _ in 0..DECODE_CALLS {
+                            engine.gemm_prepared(&*prepared, a_decode, 1, &mut out[..N]);
+                        }
+                    })
                 }));
                 dw8 = dw8.min(time_it(1, || {
-                    axcore_parallel::with_exec_mode(ExecMode::Pooled, || {
-                        with_act_policy(ActPolicy::Always, || {
-                            for _ in 0..DECODE_CALLS {
-                                engine.gemm_prepared(
-                                    &*prepared,
-                                    a_stacked,
-                                    STACKED_M,
-                                    &mut out[..STACKED_M * N],
-                                );
-                            }
-                        })
-                    });
+                    with_act_policy(ActPolicy::Always, || {
+                        for _ in 0..DECODE_CALLS {
+                            engine.gemm_prepared(
+                                &*prepared,
+                                a_stacked,
+                                STACKED_M,
+                                &mut out[..STACKED_M * N],
+                            );
+                        }
+                    })
                 }));
                 pw64 = pw64.min(time_it(1, || {
-                    axcore_parallel::with_exec_mode(ExecMode::Pooled, || {
-                        with_act_policy(ActPolicy::Always, || {
-                            for _ in 0..PANEL_CALLS {
-                                engine.gemm_prepared(&*prepared, a_panel, PANEL_M, &mut out[..PANEL_M * N]);
-                            }
-                        })
-                    });
+                    with_act_policy(ActPolicy::Always, || {
+                        for _ in 0..PANEL_CALLS {
+                            engine.gemm_prepared(&*prepared, a_panel, PANEL_M, &mut out[..PANEL_M * N]);
+                        }
+                    })
                 }));
             }
             rows.push((
@@ -420,7 +373,6 @@ fn main() {
                 Entry { rows_per_s: prefill_rows / pp, seconds: pp, threads: t },
                 Entry { rows_per_s: prefill_rows / pl, seconds: pl, threads: t },
                 Entry { rows_per_s: decode_rows / dp, seconds: dp, threads: t },
-                Entry { rows_per_s: decode_rows / dl, seconds: dl, threads: t },
                 Entry { rows_per_s: decode_rows / dpo, seconds: dpo, threads: t },
                 Entry { rows_per_s: decode_rows / dw, seconds: dw, threads: t },
                 Entry { rows_per_s: stacked_rows / dw8, seconds: dw8, threads: t },
@@ -428,32 +380,15 @@ fn main() {
             ));
         });
     }
-    // Headline entries come from the sweep row with the largest worker
-    // count that the host can actually run in parallel; the fixed 1/2/4/8
-    // sweep keeps measuring the oversubscribed counts above it, but they
-    // never gate against a committed baseline.
-    let headline = rows
-        .iter()
-        .rfind(|r| r.0 <= max_threads)
-        .or_else(|| rows.first())
-        .expect("thread sweep is never empty");
-    let (
-        _,
-        prefill_parallel,
-        prefill_lut,
-        decode_parallel,
-        decode_lut,
-        decode_pooled,
-        decode_w4a8,
-        stacked_w4a8,
-        panel_w4a8,
-    ) = headline;
-    // One-worker row: the scaling-efficiency denominator for every entry.
+    // One-worker row: the top-level (and strict-gated) entries, and the
+    // scaling-efficiency denominator for every sweep entry. Pinning the
+    // gate to one worker keeps it comparable across hosts with different
+    // core counts; the sweep carries the multi-worker numbers.
     let base = rows.first().expect("thread sweep is never empty");
     assert_eq!(base.0, 1, "thread sweep must start at one worker");
+    let (_, base_pp, base_pl, base_dp, base_dpo, base_dw, base_dw8, base_pw64) = base;
 
-    let spawn_scoped_us = spawn_overhead_us(ExecMode::Scoped);
-    let spawn_pooled_us = spawn_overhead_us(ExecMode::Pooled);
+    let spawn_pooled_us = spawn_overhead_us();
 
     // Verification overhead on the steady-state decode path: the same
     // pooled decode loop under `Sample(16)` (the ABFT row check on one
@@ -468,15 +403,13 @@ fn main() {
                 (&mut dv_sample, axcore::VerifyPolicy::Sample(16)),
             ] {
                 *slot = slot.min(time_it(1, || {
-                    axcore_parallel::with_exec_mode(ExecMode::Pooled, || {
-                        with_lut_policy(LutPolicy::Always, || {
-                            axcore::with_verify_policy(policy, || {
-                                for _ in 0..DECODE_CALLS {
-                                    engine.gemm_prepared(&*prepared, a_decode, 1, &mut out[..N]);
-                                }
-                            })
+                    with_lut_policy(LutPolicy::Always, || {
+                        axcore::with_verify_policy(policy, || {
+                            for _ in 0..DECODE_CALLS {
+                                engine.gemm_prepared(&*prepared, a_decode, 1, &mut out[..N]);
+                            }
                         })
-                    });
+                    })
                 }));
             }
         }
@@ -487,23 +420,21 @@ fn main() {
     // a separate instrumented pass so the timed sweep above runs with the
     // kmetrics counters disabled (one relaxed load per section).
     let (pooled_lut_timing, w4a8_timing) = axcore_parallel::with_threads(1, || {
-        axcore_parallel::with_exec_mode(ExecMode::Pooled, || {
-            let ((), lut_t) = axcore::kmetrics::with_kernel_timing(|| {
-                with_lut_policy(LutPolicy::Always, || {
-                    for _ in 0..DECODE_CALLS {
-                        engine.gemm_prepared(&*prepared, a_decode, 1, &mut out[..N]);
-                    }
-                })
-            });
-            let ((), w_t) = axcore::kmetrics::with_kernel_timing(|| {
-                with_act_policy(ActPolicy::Always, || {
-                    for _ in 0..DECODE_CALLS {
-                        engine.gemm_prepared(&*prepared, a_decode, 1, &mut out[..N]);
-                    }
-                })
-            });
-            (lut_t, w_t)
-        })
+        let ((), lut_t) = axcore::kmetrics::with_kernel_timing(|| {
+            with_lut_policy(LutPolicy::Always, || {
+                for _ in 0..DECODE_CALLS {
+                    engine.gemm_prepared(&*prepared, a_decode, 1, &mut out[..N]);
+                }
+            })
+        });
+        let ((), w_t) = axcore::kmetrics::with_kernel_timing(|| {
+            with_act_policy(ActPolicy::Always, || {
+                for _ in 0..DECODE_CALLS {
+                    engine.gemm_prepared(&*prepared, a_decode, 1, &mut out[..N]);
+                }
+            })
+        });
+        (lut_t, w_t)
     });
     let per_call_us = |ns: u64| ns as f64 / 1e3 / DECODE_CALLS as f64;
 
@@ -561,22 +492,18 @@ fn main() {
             "  \"{name}\": {{ \"rows_per_s\": {rows_per_s:.1}, \"seconds\": {secs:.6}, \"threads\": 1 }},\n"
         ));
     }
-    let (_, base_pp, base_pl, base_dp, base_dl, base_dpo, base_dw, base_dw8, base_pw64) = base;
-    for (name, e, b) in [
-        ("prefill_m128_parallel_prepared", prefill_parallel, base_pp),
-        ("prefill_m128_lut", prefill_lut, base_pl),
-        ("decode_m1x64_parallel_prepared", decode_parallel, base_dp),
-        ("decode_m1x64_lut", decode_lut, base_dl),
-        ("decode_m1x64_pooled", decode_pooled, base_dpo),
-        ("decode_m1x64_w4a8", decode_w4a8, base_dw),
-        ("decode_m8x64_w4a8", stacked_w4a8, base_dw8),
-        ("prefill_m64x8_w4a8", panel_w4a8, base_pw64),
+    for (name, e) in [
+        ("prefill_m128_parallel_prepared", base_pp),
+        ("prefill_m128_lut", base_pl),
+        ("decode_m1x64_parallel_prepared", base_dp),
+        ("decode_m1x64_pooled", base_dpo),
+        ("decode_m1x64_w4a8", base_dw),
+        ("decode_m8x64_w4a8", base_dw8),
+        ("prefill_m64x8_w4a8", base_pw64),
     ] {
-        json.push_str(&format!("  \"{name}\": {},\n", e.json(b)));
+        json.push_str(&format!("  \"{name}\": {},\n", e.json(e)));
     }
-    json.push_str(&format!(
-        "  \"spawn_overhead_us\": {{ \"scoped\": {spawn_scoped_us:.2}, \"pooled\": {spawn_pooled_us:.2} }},\n"
-    ));
+    json.push_str(&format!("  \"spawn_overhead_us\": {{ \"pooled\": {spawn_pooled_us:.2} }},\n"));
     json.push_str(&format!(
         "  \"verify_overhead_pct\": {{ \"decode_m1x64_sample16_vs_off\": {verify_overhead_pct:.2}, \"threads\": {max_threads} }},\n"
     ));
@@ -591,13 +518,12 @@ fn main() {
         "  \"w4a8_accuracy\": {{ \"ppl_fp_act\": {ppl_fp:.4}, \"ppl_w4a8\": {ppl_w4a8:.4}, \"delta_pct\": {w4a8_ppl_delta_pct:.3}, \"bound_pct\": {W4A8_PPL_BOUND_PCT} }},\n"
     ));
     json.push_str("  \"thread_sweep\": [\n");
-    for (i, (t, pp, pl, dp, dl, dpo, dw, dw8, pw64)) in rows.iter().enumerate() {
+    for (i, (t, pp, pl, dp, dpo, dw, dw8, pw64)) in rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{ \"threads\": {t}, \"prefill_m128_parallel_prepared\": {}, \"prefill_m128_lut\": {}, \"decode_m1x64_parallel_prepared\": {}, \"decode_m1x64_lut\": {}, \"decode_m1x64_pooled\": {}, \"decode_m1x64_w4a8\": {}, \"decode_m8x64_w4a8\": {}, \"prefill_m64x8_w4a8\": {} }}{}\n",
+            "    {{ \"threads\": {t}, \"prefill_m128_parallel_prepared\": {}, \"prefill_m128_lut\": {}, \"decode_m1x64_parallel_prepared\": {}, \"decode_m1x64_pooled\": {}, \"decode_m1x64_w4a8\": {}, \"decode_m8x64_w4a8\": {}, \"prefill_m64x8_w4a8\": {} }}{}\n",
             pp.json(base_pp),
             pl.json(base_pl),
             dp.json(base_dp),
-            dl.json(base_dl),
             dpo.json(base_dpo),
             dw.json(base_dw),
             dw8.json(base_dw8),
@@ -618,35 +544,23 @@ fn main() {
     // The integer-tier headline ratio, pinned to the one-worker sweep row
     // so the strict gate measures the kernels, not the host's scheduler.
     let w4a8_speedup_1t = base_dpo.seconds / base_dw.seconds;
+    let decode_speedup_vs_seed = decode_seed / base_dp.seconds;
+    let decode_lut_speedup = base_dp.seconds / base_dpo.seconds;
     json.push_str(&format!(
-        "  \"prefill_speedup_vs_seed\": {:.2},\n  \"decode_speedup_vs_seed\": {:.2},\n  \"decode_lut_speedup_vs_prepared\": {:.2},\n  \"decode_pooled_speedup_vs_lut\": {:.2},\n  \"decode_w4a8_speedup_vs_pooled_lut\": {:.2}\n}}\n",
-        prefill_speedup_vs_seed,
-        decode_seed / decode_parallel.seconds,
-        decode_parallel.seconds / decode_lut.seconds,
-        decode_lut.seconds / decode_pooled.seconds,
-        w4a8_speedup_1t,
+        "  \"prefill_speedup_vs_seed\": {prefill_speedup_vs_seed:.2},\n  \"decode_speedup_vs_seed\": {decode_speedup_vs_seed:.2},\n  \"decode_lut_speedup_vs_prepared\": {decode_lut_speedup:.2},\n  \"decode_w4a8_speedup_vs_pooled_lut\": {w4a8_speedup_1t:.2}\n}}\n",
     ));
     std::fs::write("BENCH_gemm.json", &json).expect("write BENCH_gemm.json");
     print!("{json}");
     println!(
-        "prefill {:.1}x, decode {:.1}x vs the seed per-call gemm; LUT tier {:.1}x over direct prepared decode; pooled runtime {:.2}x over scoped LUT decode; W4A8 tier {:.2}x over pooled LUT decode at 1 worker, ppl delta {:.2}% ({} threads, {} cores)",
-        prefill_speedup_vs_seed,
-        decode_seed / decode_parallel.seconds,
-        decode_parallel.seconds / decode_lut.seconds,
-        decode_lut.seconds / decode_pooled.seconds,
-        w4a8_speedup_1t,
-        w4a8_ppl_delta_pct,
-        max_threads,
-        available_parallelism
+        "prefill {prefill_speedup_vs_seed:.1}x (best in sweep), decode {decode_speedup_vs_seed:.1}x (1 worker) vs the seed per-call gemm; LUT tier {decode_lut_speedup:.1}x over direct prepared decode; W4A8 tier {w4a8_speedup_1t:.2}x over pooled LUT decode, ppl delta {w4a8_ppl_delta_pct:.2}% (1 worker; {max_threads} threads max, {available_parallelism} cores)"
     );
 
     // CI regression gate: compare against the committed baselines (read
     // before this run overwrote the file), only when explicitly armed.
     if std::env::var("AXCORE_BENCH_STRICT").as_deref() == Ok("1") {
         for (key, base, now) in [
-            ("decode_m1x64_lut", baseline_decode_lut, decode_lut.rows_per_s),
-            ("decode_m1x64_pooled", baseline_decode_pooled, decode_pooled.rows_per_s),
-            ("decode_m1x64_w4a8", baseline_decode_w4a8, decode_w4a8.rows_per_s),
+            ("decode_m1x64_pooled", baseline_decode_pooled, base_dpo.rows_per_s),
+            ("decode_m1x64_w4a8", baseline_decode_w4a8, base_dw.rows_per_s),
         ] {
             let Some(base) = base else {
                 println!("strict gate skipped: no committed {key} baseline");
@@ -654,11 +568,11 @@ fn main() {
             };
             if now < 0.8 * base {
                 eprintln!(
-                    "FAIL: {key} regressed more than 20%: {now:.1} rows/s vs baseline {base:.1}"
+                    "FAIL: {key} regressed more than 20% at 1 worker: {now:.1} rows/s vs baseline {base:.1}"
                 );
                 std::process::exit(1);
             }
-            println!("strict gate ok: {key} {now:.1} rows/s vs baseline {base:.1}");
+            println!("strict gate ok: {key} {now:.1} rows/s vs baseline {base:.1} at 1 worker");
         }
         if verify_overhead_pct >= 10.0 {
             eprintln!(
@@ -706,7 +620,7 @@ fn main() {
                 .iter()
                 .find(|r| r.0 == 4)
                 .expect("thread sweep always includes a 4-worker row");
-            let eff = row4.5.efficiency(base_dpo);
+            let eff = row4.4.efficiency(base_dpo);
             if eff < 0.7 {
                 eprintln!(
                     "FAIL: pooled decode scaling efficiency {eff:.3} at 4 threads under the 0.7 floor"

@@ -15,9 +15,8 @@
 //! # Parallel execution and determinism
 //!
 //! Prepared GEMMs execute on the persistent worker pool (see
-//! [`axcore_parallel`]; the legacy per-call scoped spawn survives as
-//! [`axcore_parallel::ExecMode::Scoped`] for A/B runs), partitioned into
-//! **column shards**: every shape — prefill and decode alike — splits
+//! [`axcore_parallel`]), partitioned into **column shards**: every
+//! shape — prefill and decode alike — splits
 //! the `n` output columns into one contiguous, cache-line-aligned shard
 //! per worker with stable shard→thread affinity
 //! ([`axcore_parallel::ShardPlan`]), so each worker owns its slice of

@@ -111,8 +111,8 @@ pub(crate) fn check_request(
 }
 
 /// Pick the next token from one logits row under `mode` — shared by the
-/// serial [`step`], the lockstep [`decode_batch`], and the continuous
-/// [`crate::scheduler::DecodeScheduler`], so every decode path selects
+/// serial [`step`] and the continuous
+/// [`crate::scheduler::DecodeScheduler`], so both decode paths select
 /// identically from identical logits.
 pub(crate) fn select_token(last: &[f32], mode: Decoding, rng: Option<&mut StdRng>) -> usize {
     match mode {
@@ -140,20 +140,6 @@ fn step(
     Ok(select_token(last, mode, rng))
 }
 
-/// Generate `new_tokens` continuations of `prompt` under a quantized model.
-///
-/// # Panics
-///
-/// Panics if the prompt is empty or the total length exceeds the model's
-/// context (shim over [`try_generate`]).
-#[deprecated(
-    since = "0.1.0",
-    note = "panics on invalid requests; use `try_generate`, which reports a typed `GenerateError`"
-)]
-pub fn generate(qlm: &QuantizedLm, prompt: &[usize], new_tokens: usize, mode: Decoding) -> Vec<usize> {
-    try_generate(qlm, prompt, new_tokens, mode).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Generate `new_tokens` continuations of `prompt`, reporting invalid
 /// requests and GEMM-layer failures as a typed [`GenerateError`].
 pub fn try_generate(
@@ -175,7 +161,8 @@ pub fn try_generate(
     Ok(tokens)
 }
 
-/// The result of one sequence in a [`decode_batch`] call.
+/// The result of one sequence decoded by a
+/// [`DecodeScheduler`](crate::scheduler::DecodeScheduler).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecodeOutcome {
     /// Prompt plus everything generated so far.
@@ -185,93 +172,6 @@ pub struct DecodeOutcome {
     /// Whether the full `new_tokens` budget was produced. `false` means
     /// the `keep_going` callback stopped this sequence early.
     pub completed: bool,
-}
-
-/// Decode a batch of requests in lockstep token rounds: round `t`
-/// produces token `t` for every still-live sequence before any sequence
-/// moves to round `t + 1`.
-///
-/// Each sequence runs its own forward pass against the shared prepared
-/// weights, so its output bits are **independent of its batchmates** —
-/// a sequence decoded in a batch of 8 is bit-identical to the same
-/// request run alone through [`try_generate`]. The lockstep structure is
-/// what a serving runtime needs: between rounds every sequence hits the
-/// `keep_going(slot)` callback, giving the caller a clean token-granular
-/// cancellation point for per-request deadlines (a stopped sequence
-/// returns its tokens so far with `completed: false`, and the rest of
-/// the batch proceeds). Per-request failures (bad prompt, GEMM error)
-/// are reported in that request's slot without poisoning the batch.
-pub fn decode_batch(
-    qlm: &QuantizedLm,
-    prompts: &[&[usize]],
-    new_tokens: usize,
-    mode: Decoding,
-    mut keep_going: impl FnMut(usize) -> bool,
-) -> Vec<Result<DecodeOutcome, GenerateError>> {
-    struct Live {
-        tokens: Vec<usize>,
-        generated: usize,
-        done: bool,
-        completed: bool,
-    }
-    let mut slots: Vec<Result<Live, GenerateError>> = prompts
-        .iter()
-        .map(|p| {
-            check_request(qlm, p, new_tokens).map(|()| Live {
-                tokens: p.to_vec(),
-                generated: 0,
-                done: new_tokens == 0,
-                completed: new_tokens == 0,
-            })
-        })
-        .collect();
-    // Per-sequence RNGs seeded identically to the serial path, so batch
-    // composition cannot perturb sampled outputs either.
-    let mut rngs: Vec<Option<StdRng>> = match mode {
-        Decoding::Sample { seed, .. } => {
-            (0..prompts.len()).map(|_| Some(StdRng::seed_from_u64(seed))).collect()
-        }
-        Decoding::Greedy => (0..prompts.len()).map(|_| None).collect(),
-    };
-    for _round in 0..new_tokens {
-        let mut any_live = false;
-        for (i, slot) in slots.iter_mut().enumerate() {
-            let Ok(live) = slot.as_mut() else { continue };
-            if live.done {
-                continue;
-            }
-            if !keep_going(i) {
-                live.done = true;
-                continue;
-            }
-            match step(qlm, &live.tokens, mode, rngs[i].as_mut()) {
-                Ok(next) => {
-                    live.tokens.push(next);
-                    live.generated += 1;
-                    if live.generated == new_tokens {
-                        live.done = true;
-                        live.completed = true;
-                    } else {
-                        any_live = true;
-                    }
-                }
-                Err(e) => *slot = Err(e),
-            }
-        }
-        if !any_live {
-            break;
-        }
-    }
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.map(|live| DecodeOutcome {
-                tokens: live.tokens,
-                generated: live.generated,
-                completed: live.completed,
-            })
-        })
-        .collect()
 }
 
 /// Fraction of positions where two models pick the same greedy token for
@@ -379,15 +279,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "empty prompt")]
-    fn deprecated_shim_still_panics_on_invalid_requests() {
-        let (model, _) = fixture();
-        let q = quantize_model(model, Scheme::Fp16, 24, None);
-        #[allow(deprecated)]
-        generate(&q, &[], 4, Decoding::Greedy);
-    }
-
-    #[test]
     fn try_generate_reports_typed_errors() {
         let (model, corpus) = fixture();
         let q = quantize_model(model, Scheme::Fp16, 24, None);
@@ -403,48 +294,5 @@ mod tests {
             try_generate(&q, &[9999], 4, Decoding::Greedy),
             Err(GenerateError::TokenOutOfRange { token: 9999, .. })
         ));
-    }
-
-    #[test]
-    fn decode_batch_matches_serial_bit_for_bit() {
-        let (model, corpus) = fixture();
-        let q = quantize_model(model, Scheme::AxCore, 24, None);
-        let prompts: Vec<&[usize]> = vec![&corpus.val[..4], &corpus.val[4..10], &corpus.val[10..13]];
-        for mode in [
-            Decoding::Greedy,
-            Decoding::Sample { temperature: 0.9, seed: 11 },
-        ] {
-            let batched = decode_batch(&q, &prompts, 8, mode, |_| true);
-            for (p, out) in prompts.iter().zip(&batched) {
-                let out = out.as_ref().expect("healthy request");
-                assert!(out.completed);
-                assert_eq!(out.generated, 8);
-                let serial = try_generate(&q, p, 8, mode).expect("serial reference");
-                assert_eq!(out.tokens, serial, "batched == serial, independent of batchmates");
-            }
-        }
-    }
-
-    #[test]
-    fn decode_batch_isolates_bad_requests_and_cancels_cleanly() {
-        let (model, corpus) = fixture();
-        let q = quantize_model(model, Scheme::Fp16, 24, None);
-        let bad: &[usize] = &[9999];
-        let good: &[usize] = &corpus.val[..4];
-        let prompts = vec![bad, good, good];
-        // Slot 2 is cancelled after 3 rounds; slots 0 (invalid) and 1
-        // (healthy) are unaffected.
-        let mut rounds_seen = [0usize; 3];
-        let out = decode_batch(&q, &prompts, 6, Decoding::Greedy, |slot| {
-            rounds_seen[slot] += 1;
-            slot != 2 || rounds_seen[2] <= 3
-        });
-        assert!(matches!(out[0], Err(GenerateError::TokenOutOfRange { .. })));
-        let full = out[1].as_ref().expect("healthy slot");
-        assert!(full.completed && full.generated == 6);
-        let cut = out[2].as_ref().expect("cancelled slot still returns");
-        assert!(!cut.completed);
-        assert_eq!(cut.generated, 3);
-        assert_eq!(cut.tokens[..], full.tokens[..good.len() + 3]);
     }
 }

@@ -1,11 +1,10 @@
 //! Exact `f32` matrix kernels used by the training path (inference under
 //! the approximate datapaths lives in [`crate::eval`]).
 //!
-//! The kernels run on [`axcore_parallel`]'s worker pool (persistent and
-//! condvar-parked by default, per-call scoped spawns under
-//! `AXCORE_POOL=scoped`), split over disjoint output rows. Each output
-//! element's accumulation order is identical to the serial loops, so
-//! results are bit-identical at any thread count and either mode.
+//! The kernels run on [`axcore_parallel`]'s persistent worker pool,
+//! split over disjoint output rows. Each output element's accumulation
+//! order is identical to the serial loops, so results are bit-identical
+//! at any thread count.
 
 use axcore::GemmError;
 use axcore_parallel::par_chunks_mut;

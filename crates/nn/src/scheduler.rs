@@ -1,15 +1,14 @@
 //! Continuous-batching decode: per-token sequence scheduling over a
 //! paged KV cache.
 //!
-//! The lockstep [`decode_batch`](crate::generate::decode_batch) requires
-//! every batchmate to share one token budget and re-forwards each full
-//! sequence per token. The [`DecodeScheduler`] replaces both
-//! constraints: sequences **join and leave the running batch at token
-//! granularity** — a new request admitted mid-flight decodes its first
-//! token on the very next step, a finished, cancelled, or failed
-//! sequence frees its KV pages immediately — and each step forwards only
-//! the tokens that are not yet cached, gathering K/V through the
-//! sequence's block table ([`KvArena`]).
+//! A lockstep batch decoder makes every batchmate share one token budget
+//! and re-forwards each full sequence per token. The [`DecodeScheduler`]
+//! lifts both constraints: sequences **join and leave the running batch
+//! at token granularity** — a new request admitted mid-flight decodes
+//! its first token on the very next step, a finished, cancelled, or
+//! failed sequence frees its KV pages immediately — and each step
+//! forwards only the tokens that are not yet cached, gathering K/V
+//! through the sequence's block table ([`KvArena`]).
 //!
 //! # Bit-exactness
 //!
@@ -87,9 +86,7 @@ pub enum StepEvent {
     Finished {
         /// The retired sequence.
         handle: SeqHandle,
-        /// Prompt plus generated tokens, as [`decode_batch`]'s slots.
-        ///
-        /// [`decode_batch`]: crate::generate::decode_batch
+        /// Prompt plus generated tokens.
         outcome: DecodeOutcome,
     },
     /// The sequence's forward pass failed; its pages were freed.
@@ -417,7 +414,7 @@ impl<'a> DecodeScheduler<'a> {
 
     /// Decode one token for every live, unpaused sequence. `keep_going`
     /// is consulted per sequence before its forward pass (the
-    /// token-granular cancellation point, as in `decode_batch`) —
+    /// token-granular cancellation point) —
     /// including paused sequences, so deadlines fire while evicted.
     /// Returns the retirement events of this step, in admission order.
     ///
@@ -617,10 +614,9 @@ impl<'a> DecodeScheduler<'a> {
     }
 }
 
-/// Decode `prompts` to completion through a [`DecodeScheduler`] —
-/// the continuous-batching counterpart of
-/// [`decode_batch`](crate::generate::decode_batch), with the same
-/// per-slot result contract.
+/// Decode `prompts` to completion through a [`DecodeScheduler`]. Slot
+/// `i` of the result is prompt `i`'s outcome, or its typed failure
+/// (invalid request, GEMM or KV error) without poisoning its batchmates.
 pub fn decode_continuous(
     qlm: &QuantizedLm,
     prompts: &[&[usize]],
@@ -666,7 +662,7 @@ mod tests {
     use super::*;
     use crate::corpus::{Corpus, MarkovSpec};
     use crate::eval::{quantize_model, Scheme};
-    use crate::generate::{decode_batch, try_generate};
+    use crate::generate::try_generate;
     use crate::layers::ActKind;
     use crate::model::{LmConfig, TransformerLm};
     use std::sync::OnceLock;
@@ -777,21 +773,6 @@ mod tests {
         assert!(o.completed);
         let serial = try_generate(&q, &corpus.val[..6], 8, Decoding::Greedy).expect("reference");
         assert_eq!(o.tokens, serial, "evict + re-prefill == serial");
-    }
-
-    #[test]
-    fn matches_lockstep_decode_batch() {
-        let (model, corpus) = fixture();
-        let q = quantize_model(model, Scheme::AxCore, 24, None);
-        let prompts: Vec<&[usize]> = vec![&corpus.val[..4], &corpus.val[4..8]];
-        let lockstep = decode_batch(&q, &prompts, 6, Decoding::Greedy, |_| true);
-        let continuous = decode_continuous(&q, &prompts, 6, Decoding::Greedy, KvPageConfig::default());
-        for (a, b) in lockstep.iter().zip(&continuous) {
-            assert_eq!(
-                a.as_ref().expect("lockstep").tokens,
-                b.as_ref().expect("continuous").tokens
-            );
-        }
     }
 
     #[test]

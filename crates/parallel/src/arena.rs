@@ -16,10 +16,6 @@
 //! values** — only growth past the cached length is filled with `fill`.
 //! Callers must either overwrite every element they read (the engines'
 //! scratch invariant already guarantees this) or use [`take_filled`].
-//!
-//! In [`crate::ExecMode::Scoped`] (legacy) mode the arena hands out fresh
-//! allocations and drops them on return, faithfully reproducing the
-//! pre-pool per-call allocation behavior for A/B benchmarking.
 
 use std::any::{Any, TypeId};
 use std::cell::RefCell;
@@ -40,7 +36,6 @@ thread_local! {
 /// current thread's arena when dropped.
 pub struct ArenaVec<T: 'static> {
     buf: Vec<T>,
-    recycle: bool,
 }
 
 /// Take a buffer of exactly `len` elements from the current thread's
@@ -48,14 +43,6 @@ pub struct ArenaVec<T: 'static> {
 /// from a cached buffer keep their previous (stale) values; only newly
 /// grown elements are set to `fill`.
 pub fn take<T: Clone + 'static>(len: usize, fill: T) -> ArenaVec<T> {
-    if crate::current_exec_mode() == crate::ExecMode::Scoped {
-        // Legacy mode: per-call allocation, exactly like the pre-pool
-        // engines (`vec![fill; len]` at every call site).
-        return ArenaVec {
-            buf: vec![fill; len],
-            recycle: false,
-        };
-    }
     // Buckets are keyed by `TypeId::of::<Vec<T>>`, so the downcast to
     // `Vec<Vec<T>>` cannot fail.
     #[allow(clippy::expect_used)]
@@ -71,7 +58,7 @@ pub fn take<T: Clone + 'static>(len: usize, fill: T) -> ArenaVec<T> {
     } else {
         buf.truncate(len);
     }
-    ArenaVec { buf, recycle: true }
+    ArenaVec { buf }
 }
 
 /// [`take`], but every element is guaranteed to equal `fill` — for
@@ -91,9 +78,6 @@ pub fn trim() {
 
 impl<T: 'static> Drop for ArenaVec<T> {
     fn drop(&mut self) {
-        if !self.recycle {
-            return;
-        }
         let buf = mem::take(&mut self.buf);
         // `try_with`: if the thread is being torn down, just free.
         let _ = CACHE.try_with(|c| {
@@ -147,45 +131,28 @@ mod tests {
 
     #[test]
     fn buffers_are_recycled_with_stale_contents() {
-        crate::with_exec_mode(crate::ExecMode::Pooled, || {
-            trim();
-            {
-                let mut a = take(4, 0u64);
-                a[0] = 42;
-            }
-            // Same thread, same type: the recycled buffer comes back with
-            // its old contents in the reused prefix.
-            let b = take::<u64>(4, 0);
-            assert_eq!(b[0], 42);
-            let c = take_filled::<u64>(4, 0);
-            assert!(c.iter().all(|&v| v == 0));
-        });
-    }
-
-    #[test]
-    fn scoped_mode_hands_out_fresh_buffers() {
-        crate::with_exec_mode(crate::ExecMode::Scoped, || {
-            trim();
-            {
-                let mut a = take(4, 0u16);
-                a[0] = 9;
-            }
-            let b = take::<u16>(4, 0);
-            assert_eq!(b[0], 0, "legacy mode must not recycle");
-        });
+        trim();
+        {
+            let mut a = take(4, 0u64);
+            a[0] = 42;
+        }
+        // Same thread, same type: the recycled buffer comes back with
+        // its old contents in the reused prefix.
+        let b = take::<u64>(4, 0);
+        assert_eq!(b[0], 42);
+        let c = take_filled::<u64>(4, 0);
+        assert!(c.iter().all(|&v| v == 0));
     }
 
     #[test]
     fn growth_past_cached_length_is_filled() {
-        crate::with_exec_mode(crate::ExecMode::Pooled, || {
-            trim();
-            {
-                let mut a = take(2, 0i32);
-                a[0] = -5;
-                a[1] = -6;
-            }
-            let b = take(5, 1i32);
-            assert_eq!(&b[..], &[-5, -6, 1, 1, 1]);
-        });
+        trim();
+        {
+            let mut a = take(2, 0i32);
+            a[0] = -5;
+            a[1] = -6;
+        }
+        let b = take(5, 1i32);
+        assert_eq!(&b[..], &[-5, -6, 1, 1, 1]);
     }
 }

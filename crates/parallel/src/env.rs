@@ -1,8 +1,8 @@
 //! Consolidated environment-knob parsing.
 //!
-//! Every `AXCORE_*` runtime knob (`AXCORE_THREADS`, `AXCORE_POOL`,
-//! `AXCORE_SHARDS`, `AXCORE_LUT`, `AXCORE_ACT`, `AXCORE_VERIFY`, the
-//! serving-runtime tunables, …) resolves through [`parse`]: one place
+//! Every `AXCORE_*` runtime knob (`AXCORE_THREADS`, `AXCORE_LUT`,
+//! `AXCORE_ACT`, `AXCORE_VERIFY`, the serving-runtime tunables, …)
+//! resolves through [`parse`]: one place
 //! that reads the variable, trims it, applies the knob's own parser, and
 //! — the part the old per-site `match`es silently skipped — prints a
 //! **loud warning to stderr when the value is unrecognized**, naming the
@@ -49,10 +49,10 @@ mod tests {
         assert_eq!(parse_usize("AXCORE_ENVTEST_UNSET"), None);
         std::env::set_var("AXCORE_ENVTEST_BAD", "four");
         assert_eq!(parse_usize("AXCORE_ENVTEST_BAD"), None, "garbage maps to None (plus a warning)");
-        std::env::set_var("AXCORE_ENVTEST_CHOICE", "scoped");
-        let mode = parse("AXCORE_ENVTEST_CHOICE", "pooled|scoped", |s| match s {
-            "pooled" => Some(1),
-            "scoped" => Some(2),
+        std::env::set_var("AXCORE_ENVTEST_CHOICE", "off");
+        let mode = parse("AXCORE_ENVTEST_CHOICE", "on|off", |s| match s {
+            "on" => Some(1),
+            "off" => Some(2),
             _ => None,
         });
         assert_eq!(mode, Some(2));

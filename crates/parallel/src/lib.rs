@@ -11,24 +11,21 @@
 //! steady-state decode path pays one wake/park round-trip instead of
 //! re-spawning OS threads on every `gemm` call, and dispatch itself
 //! performs no heap allocation (chunks are claimed off an atomic
-//! counter). The pre-pool `std::thread::scope` implementation is kept
-//! selectable as [`ExecMode::Scoped`] — it is the A/B baseline for the
-//! pool-equivalence proptests and the benchmark's legacy rows.
+//! counter). The pool is the only runtime; the bit-exactness tests
+//! compare it against its own serial path (`with_threads(1)`).
 //!
 //! Guarantees:
 //!
 //! * **Determinism** — each chunk's output location is a function of its
 //!   chunk index alone, never of thread scheduling; callers that compute
 //!   each output element independently of iteration order get
-//!   bit-identical results at any thread count in either mode.
+//!   bit-identical results at any thread count.
 //! * **No nesting blowup** — a worker thread that itself calls into the
 //!   parallel API runs serially, so parallel GEMMs inside parallel row
 //!   sweeps do not oversubscribe the machine.
 //! * **Control** — [`with_threads`] scopes an explicit thread count (1 =
 //!   force serial, used by benches and the bit-exactness tests); the
-//!   `AXCORE_THREADS` environment variable caps the default, and
-//!   `AXCORE_POOL=scoped` (or `0`/`off`) falls back to per-call scoped
-//!   threads.
+//!   `AXCORE_THREADS` environment variable caps the default.
 
 #![deny(unsafe_code)] // narrowly allowed in the pool dispatch path only
 
@@ -47,25 +44,13 @@ pub use shard::{Shard, ShardPlan};
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::OnceLock;
 
 thread_local! {
     /// Per-thread override installed by [`with_threads`].
     static THREAD_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
     /// Set inside pool workers: nested parallel calls run serial.
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
-    /// Per-thread override installed by [`with_exec_mode`].
-    static MODE_OVERRIDE: Cell<Option<ExecMode>> = const { Cell::new(None) };
-}
-
-/// How parallel work is executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Persistent worker pool + recycled scratch arena (the default).
-    Pooled,
-    /// Per-call `std::thread::scope` spawning and per-call scratch
-    /// allocation — the pre-pool runtime, kept as the A/B baseline.
-    Scoped,
 }
 
 /// The machine-level default thread count: `AXCORE_THREADS` if set,
@@ -79,41 +64,6 @@ pub fn max_threads() -> usize {
                 std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
             })
     })
-}
-
-/// The process-default execution mode: `AXCORE_POOL=scoped|off|0` picks
-/// the legacy scoped runtime, anything else (or unset) the pool.
-fn default_exec_mode() -> ExecMode {
-    static MODE: OnceLock<ExecMode> = OnceLock::new();
-    *MODE.get_or_init(|| {
-        env::parse("AXCORE_POOL", "pooled|on|1 or scoped|off|0", |s| {
-            match s.to_ascii_lowercase().as_str() {
-                "scoped" | "off" | "0" => Some(ExecMode::Scoped),
-                "pooled" | "on" | "1" | "" => Some(ExecMode::Pooled),
-                _ => None,
-            }
-        })
-        .unwrap_or(ExecMode::Pooled)
-    })
-}
-
-/// The execution mode parallel calls on this thread will use right now.
-pub fn current_exec_mode() -> ExecMode {
-    MODE_OVERRIDE.with(|m| m.get()).unwrap_or_else(default_exec_mode)
-}
-
-/// Run `f` with the execution mode on this thread forced to `mode`. The
-/// previous setting is restored on exit, including on panic.
-pub fn with_exec_mode<R>(mode: ExecMode, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<ExecMode>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            MODE_OVERRIDE.with(|m| m.set(self.0));
-        }
-    }
-    let prev = MODE_OVERRIDE.with(|m| m.replace(Some(mode)));
-    let _restore = Restore(prev);
-    f()
 }
 
 /// Thread counts worth sweeping in benchmarks: always `1, 2, 4, 8`
@@ -209,10 +159,7 @@ where
         }
         return;
     }
-    match current_exec_mode() {
-        ExecMode::Pooled => pooled_chunks(data, chunk_len, num_chunks, threads, &mk_scratch, &f),
-        ExecMode::Scoped => scoped_chunks(data, chunk_len, threads, &mk_scratch, &f),
-    }
+    pooled_chunks(data, chunk_len, num_chunks, threads, &mk_scratch, &f);
 }
 
 /// Pool dispatch: all participants (caller + `threads - 1` pool workers)
@@ -302,62 +249,6 @@ fn pooled_chunks<T, S, MkS, F>(
         }
     };
     pool::run(threads - 1, &body);
-}
-
-/// Legacy dispatch: per-call `std::thread::scope` spawning with a shared
-/// chunk queue — the pre-pool runtime, kept for A/B comparison.
-fn scoped_chunks<T, S, MkS, F>(data: &mut [T], chunk_len: usize, threads: usize, mk_scratch: &MkS, f: &F)
-where
-    T: Send,
-    MkS: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &mut [T]) + Sync,
-{
-    // Dynamic scheduling: workers pop chunks from a shared queue, which
-    // balances load when chunks differ in cost. Output placement is by
-    // chunk index, so scheduling cannot affect results.
-    let queue: Mutex<Vec<(usize, &mut [T])>> =
-        Mutex::new(data.chunks_mut(chunk_len).enumerate().collect());
-    let queue = &queue;
-    /// On unwind, empty the queue so surviving workers stop claiming
-    /// chunks instead of grinding through work whose result the caller
-    /// will never see (the panic is about to propagate out of the scope).
-    struct DrainQueue<'q, 'd, T>(&'q Mutex<Vec<(usize, &'d mut [T])>>);
-    impl<T> Drop for DrainQueue<'_, '_, T> {
-        fn drop(&mut self) {
-            if std::thread::panicking() {
-                self.0
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .clear();
-            }
-        }
-    }
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(move || {
-                IN_WORKER.with(|w| w.set(true));
-                let _drain = DrainQueue(queue);
-                let mut scratch = mk_scratch();
-                loop {
-                    // Cooperative cancellation, mirroring the pooled path.
-                    if pool::cancel_requested() {
-                        break;
-                    }
-                    // A panicking sibling poisons the mutex; the payload
-                    // already propagates via the scope, so keep popping
-                    // from the (drained) queue rather than double-panic.
-                    let item = queue
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .pop();
-                    match item {
-                        Some((i, chunk)) => f(&mut scratch, i, chunk),
-                        None => break,
-                    }
-                }
-            });
-        }
-    });
 }
 
 /// A mutable view of one shard's columns of a row-major `rows × n`
@@ -467,21 +358,7 @@ where
         let mut scratch = mk_scratch();
         f(&mut scratch, sh, &mut view);
     };
-    match current_exec_mode() {
-        ExecMode::Pooled => pool::run_indexed(nshards - 1, &body),
-        ExecMode::Scoped => {
-            std::thread::scope(|s| {
-                for slot in 1..nshards {
-                    let body = &body;
-                    s.spawn(move || {
-                        IN_WORKER.with(|w| w.set(true));
-                        body(slot);
-                    });
-                }
-                enter_worker(|| body(0));
-            });
-        }
-    }
+    pool::run_indexed(nshards - 1, &body);
 }
 
 #[cfg(test)]
@@ -503,22 +380,18 @@ mod tests {
     }
 
     #[test]
-    fn covers_every_chunk_in_both_modes() {
-        for mode in [ExecMode::Pooled, ExecMode::Scoped] {
-            with_exec_mode(mode, || {
-                with_threads(4, || {
-                    let mut data = vec![0u32; 777];
-                    par_chunks_mut(&mut data, 13, |i, chunk| {
-                        for v in chunk.iter_mut() {
-                            *v += i as u32 + 1;
-                        }
-                    });
-                    for (j, &v) in data.iter().enumerate() {
-                        assert_eq!(v, (j / 13) as u32 + 1, "{mode:?} elem {j}");
-                    }
-                });
+    fn covers_every_chunk_on_four_workers() {
+        with_threads(4, || {
+            let mut data = vec![0u32; 777];
+            par_chunks_mut(&mut data, 13, |i, chunk| {
+                for v in chunk.iter_mut() {
+                    *v += i as u32 + 1;
+                }
             });
-        }
+            for (j, &v) in data.iter().enumerate() {
+                assert_eq!(v, (j / 13) as u32 + 1, "elem {j}");
+            }
+        });
     }
 
     #[test]
@@ -549,26 +422,22 @@ mod tests {
     }
 
     #[test]
-    fn shards_cover_every_column_in_both_modes() {
-        for mode in [ExecMode::Pooled, ExecMode::Scoped] {
-            with_exec_mode(mode, || {
-                with_threads(4, || {
-                    let (rows, n) = (3usize, 100usize);
-                    let plan = ShardPlan::new(n, current_threads(), 1);
-                    let mut out = vec![0u32; rows * n];
-                    par_shards_with(&mut out, rows, &plan, || (), |(), sh, view| {
-                        for r in 0..view.rows() {
-                            for (j, v) in view.row(r).iter_mut().enumerate() {
-                                *v = (r * n + sh.col0 + j) as u32 + 1;
-                            }
-                        }
-                    });
-                    for (i, &v) in out.iter().enumerate() {
-                        assert_eq!(v, i as u32 + 1, "{mode:?} elem {i}");
+    fn shards_cover_every_column_on_four_workers() {
+        with_threads(4, || {
+            let (rows, n) = (3usize, 100usize);
+            let plan = ShardPlan::new(n, current_threads(), 1);
+            let mut out = vec![0u32; rows * n];
+            par_shards_with(&mut out, rows, &plan, || (), |(), sh, view| {
+                for r in 0..view.rows() {
+                    for (j, v) in view.row(r).iter_mut().enumerate() {
+                        *v = (r * n + sh.col0 + j) as u32 + 1;
                     }
-                });
+                }
             });
-        }
+            for (i, &v) in out.iter().enumerate() {
+                assert_eq!(v, i as u32 + 1, "elem {i}");
+            }
+        });
     }
 
     #[test]
@@ -597,56 +466,52 @@ mod tests {
 
     #[test]
     fn shard_slots_keep_stable_thread_affinity() {
-        use std::sync::Mutex;
+        use std::sync::{Mutex, PoisonError};
         use std::thread::ThreadId;
-        with_exec_mode(ExecMode::Pooled, || {
-            with_threads(4, || {
-                let n = 256usize;
-                let plan = ShardPlan::new(n, 4, 1);
-                assert_eq!(plan.num_shards(), 4);
-                let observed: Mutex<Vec<Vec<ThreadId>>> = Mutex::new(vec![Vec::new(); 4]);
-                let mut out = vec![0u8; n];
-                for _ in 0..5 {
-                    par_shards_with(&mut out, 1, &plan, || (), |(), sh, _view| {
-                        observed
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)[sh.index]
-                            .push(std::thread::current().id());
-                    });
-                }
-                let observed = observed.lock().unwrap_or_else(PoisonError::into_inner);
-                for (slot, ids) in observed.iter().enumerate() {
-                    assert_eq!(ids.len(), 5, "slot {slot} ran once per call");
-                    assert!(
-                        ids.iter().all(|id| *id == ids[0]),
-                        "slot {slot} must stay on one OS thread across calls"
-                    );
-                }
-            });
+        with_threads(4, || {
+            let n = 256usize;
+            let plan = ShardPlan::new(n, 4, 1);
+            assert_eq!(plan.num_shards(), 4);
+            let observed: Mutex<Vec<Vec<ThreadId>>> = Mutex::new(vec![Vec::new(); 4]);
+            let mut out = vec![0u8; n];
+            for _ in 0..5 {
+                par_shards_with(&mut out, 1, &plan, || (), |(), sh, _view| {
+                    observed
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)[sh.index]
+                        .push(std::thread::current().id());
+                });
+            }
+            let observed = observed.lock().unwrap_or_else(PoisonError::into_inner);
+            for (slot, ids) in observed.iter().enumerate() {
+                assert_eq!(ids.len(), 5, "slot {slot} ran once per call");
+                assert!(
+                    ids.iter().all(|id| *id == ids[0]),
+                    "slot {slot} must stay on one OS thread across calls"
+                );
+            }
         });
     }
 
     #[test]
     fn shard_panic_propagates_and_pool_stays_usable() {
-        with_exec_mode(ExecMode::Pooled, || {
-            with_threads(4, || {
-                let n = 256usize;
-                let plan = ShardPlan::new(n, 4, 1);
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut out = vec![0u8; n];
-                    par_shards_with(&mut out, 1, &plan, || (), |(), sh, _v| {
-                        if sh.index == 2 {
-                            panic!("shard 2 failed");
-                        }
-                    });
-                }));
-                assert!(result.is_err(), "shard panic must propagate");
+        with_threads(4, || {
+            let n = 256usize;
+            let plan = ShardPlan::new(n, 4, 1);
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let mut out = vec![0u8; n];
-                par_shards_with(&mut out, 1, &plan, || (), |(), _sh, view| {
-                    view.row(0).fill(7);
+                par_shards_with(&mut out, 1, &plan, || (), |(), sh, _v| {
+                    if sh.index == 2 {
+                        panic!("shard 2 failed");
+                    }
                 });
-                assert!(out.iter().all(|&v| v == 7), "pool reusable after shard panic");
+            }));
+            assert!(result.is_err(), "shard panic must propagate");
+            let mut out = vec![0u8; n];
+            par_shards_with(&mut out, 1, &plan, || (), |(), _sh, view| {
+                view.row(0).fill(7);
             });
+            assert!(out.iter().all(|&v| v == 7), "pool reusable after shard panic");
         });
     }
 
@@ -662,32 +527,15 @@ mod tests {
     }
 
     #[test]
-    fn with_exec_mode_restores_previous_setting() {
-        let before = current_exec_mode();
-        with_exec_mode(ExecMode::Scoped, || {
-            assert_eq!(current_exec_mode(), ExecMode::Scoped);
-            with_exec_mode(ExecMode::Pooled, || {
-                assert_eq!(current_exec_mode(), ExecMode::Pooled);
-            });
-            assert_eq!(current_exec_mode(), ExecMode::Scoped);
-        });
-        assert_eq!(current_exec_mode(), before);
-    }
-
-    #[test]
     fn nested_calls_run_serially_in_workers() {
-        for mode in [ExecMode::Pooled, ExecMode::Scoped] {
-            let nested_threads = AtomicUsize::new(usize::MAX);
-            let mut data = vec![0u8; 64];
-            with_exec_mode(mode, || {
-                with_threads(4, || {
-                    par_chunks_mut(&mut data, 1, |_, _| {
-                        nested_threads.fetch_min(current_threads(), Ordering::Relaxed);
-                    });
-                });
+        let nested_threads = AtomicUsize::new(usize::MAX);
+        let mut data = vec![0u8; 64];
+        with_threads(4, || {
+            par_chunks_mut(&mut data, 1, |_, _| {
+                nested_threads.fetch_min(current_threads(), Ordering::Relaxed);
             });
-            assert_eq!(nested_threads.load(Ordering::Relaxed), 1, "{mode:?}");
-        }
+        });
+        assert_eq!(nested_threads.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -708,126 +556,91 @@ mod tests {
 
     #[test]
     fn pool_workers_persist_across_calls() {
-        with_exec_mode(ExecMode::Pooled, || {
-            with_threads(3, || {
-                let mut data = vec![0u8; 96];
-                par_chunks_mut(&mut data, 4, |_, c| c.fill(1));
-                let after_first = spawned_workers();
-                assert!(after_first >= 2, "pool should have started helpers");
-                for _ in 0..5 {
-                    par_chunks_mut(&mut data, 4, |_, c| c.fill(2));
-                }
-                assert_eq!(spawned_workers(), after_first, "no re-spawning per call");
-                assert!(data.iter().all(|&v| v == 2));
-            });
+        with_threads(3, || {
+            let mut data = vec![0u8; 96];
+            par_chunks_mut(&mut data, 4, |_, c| c.fill(1));
+            let after_first = spawned_workers();
+            assert!(after_first >= 2, "pool should have started helpers");
+            for _ in 0..5 {
+                par_chunks_mut(&mut data, 4, |_, c| c.fill(2));
+            }
+            assert_eq!(spawned_workers(), after_first, "no re-spawning per call");
+            assert!(data.iter().all(|&v| v == 2));
         });
     }
 
     #[test]
     fn panicking_task_propagates_and_pool_stays_usable() {
-        with_exec_mode(ExecMode::Pooled, || {
-            with_threads(2, || {
-                let mut data = vec![0u32; 32];
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut poisoned = vec![0u32; 32];
-                    par_chunks_mut(&mut poisoned, 1, |i, _| {
-                        if i == 17 {
-                            panic!("task 17 failed");
-                        }
-                    });
-                }));
-                let err = result.expect_err("panic must propagate to the caller");
-                let msg = err
-                    .downcast_ref::<&str>()
-                    .copied()
-                    .map(String::from)
-                    .or_else(|| err.downcast_ref::<String>().cloned())
-                    .unwrap_or_default();
-                assert!(msg.contains("task 17 failed"), "payload preserved: {msg}");
-                // The pool must be parked and reusable after the panic.
-                par_chunks_mut(&mut data, 1, |i, c| c[0] = i as u32 + 1);
-                for (i, &v) in data.iter().enumerate() {
-                    assert_eq!(v, i as u32 + 1);
-                }
-            });
+        with_threads(2, || {
+            let mut data = vec![0u32; 32];
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut poisoned = vec![0u32; 32];
+                par_chunks_mut(&mut poisoned, 1, |i, _| {
+                    if i == 17 {
+                        panic!("task 17 failed");
+                    }
+                });
+            }));
+            let err = result.expect_err("panic must propagate to the caller");
+            let msg = err
+                .downcast_ref::<&str>()
+                .copied()
+                .map(String::from)
+                .or_else(|| err.downcast_ref::<String>().cloned())
+                .unwrap_or_default();
+            assert!(msg.contains("task 17 failed"), "payload preserved: {msg}");
+            // The pool must be parked and reusable after the panic.
+            par_chunks_mut(&mut data, 1, |i, c| c[0] = i as u32 + 1);
+            for (i, &v) in data.iter().enumerate() {
+                assert_eq!(v, i as u32 + 1);
+            }
         });
     }
 
     #[test]
     fn panic_in_first_worker_drains_claims_and_pool_is_reusable() {
-        for mode in [ExecMode::Pooled, ExecMode::Scoped] {
-            with_exec_mode(mode, || {
-                with_threads(4, || {
-                    let processed = AtomicUsize::new(0);
-                    let claims = AtomicUsize::new(0);
-                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        let mut data = vec![0u8; 256];
-                        par_chunks_mut(&mut data, 1, |_, _| {
-                            // The very first chunk claimed (worker 0's
-                            // first pick in either dispatch mode) dies.
-                            if claims.fetch_add(1, Ordering::Relaxed) == 0 {
-                                panic!("worker 0 failed");
-                            }
-                            std::thread::sleep(std::time::Duration::from_millis(1));
-                            processed.fetch_add(1, Ordering::Relaxed);
-                        });
-                    }));
-                    assert!(result.is_err(), "{mode:?}: panic must propagate");
-                    // Fail-fast drain: once chunk 0 panicked, the claim
-                    // counter/queue was exhausted so the survivors stopped
-                    // claiming instead of grinding through all 255
-                    // remaining chunks.
-                    let done = processed.load(Ordering::Relaxed);
-                    assert!(done < 200, "{mode:?}: drained on unwind (processed {done})");
-                    // The dispatcher serves subsequent calls normally.
-                    let mut again = vec![0u8; 64];
-                    par_chunks_mut(&mut again, 4, |_, c| c.fill(7));
-                    assert!(again.iter().all(|&v| v == 7), "{mode:?}: reusable");
+        with_threads(4, || {
+            let processed = AtomicUsize::new(0);
+            let claims = AtomicUsize::new(0);
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut data = vec![0u8; 256];
+                par_chunks_mut(&mut data, 1, |_, _| {
+                    // The very first chunk claimed dies.
+                    if claims.fetch_add(1, Ordering::Relaxed) == 0 {
+                        panic!("worker 0 failed");
+                    }
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                    processed.fetch_add(1, Ordering::Relaxed);
                 });
-            });
-        }
+            }));
+            assert!(result.is_err(), "panic must propagate");
+            // Fail-fast drain: once chunk 0 panicked, the claim counter
+            // was exhausted so the survivors stopped claiming instead of
+            // grinding through all 255 remaining chunks.
+            let done = processed.load(Ordering::Relaxed);
+            assert!(done < 200, "drained on unwind (processed {done})");
+            // The dispatcher serves subsequent calls normally.
+            let mut again = vec![0u8; 64];
+            par_chunks_mut(&mut again, 4, |_, c| c.fill(7));
+            assert!(again.iter().all(|&v| v == 7), "reusable");
+        });
     }
 
     #[test]
     fn shutdown_joins_workers_and_pool_restarts() {
-        with_exec_mode(ExecMode::Pooled, || {
-            with_threads(2, || {
-                let mut data = vec![0u8; 64];
-                par_chunks_mut(&mut data, 2, |_, c| c.fill(1));
-            });
+        with_threads(2, || {
+            let mut data = vec![0u8; 64];
+            par_chunks_mut(&mut data, 2, |_, c| c.fill(1));
         });
         // Serialize with other tests' pool use: shutdown takes the submit
         // lock, so in-flight jobs finish first.
         shutdown_pool();
         assert_eq!(spawned_workers(), 0);
-        with_exec_mode(ExecMode::Pooled, || {
-            with_threads(2, || {
-                let mut data = vec![0u8; 64];
-                par_chunks_mut(&mut data, 2, |_, c| c.fill(3));
-                assert!(data.iter().all(|&v| v == 3));
-            });
+        with_threads(2, || {
+            let mut data = vec![0u8; 64];
+            par_chunks_mut(&mut data, 2, |_, c| c.fill(3));
+            assert!(data.iter().all(|&v| v == 3));
         });
         assert!(spawned_workers() >= 1);
-    }
-
-    #[test]
-    fn pooled_and_scoped_agree_bitwise() {
-        let work = |i: usize, chunk: &mut [f64]| {
-            for (j, v) in chunk.iter_mut().enumerate() {
-                *v = ((i * 17 + j) as f64).cos() * 0.5;
-            }
-        };
-        let mut pooled = vec![0f64; 300];
-        with_exec_mode(ExecMode::Pooled, || {
-            with_threads(4, || par_chunks_mut(&mut pooled, 9, work));
-        });
-        let mut scoped = vec![0f64; 300];
-        with_exec_mode(ExecMode::Scoped, || {
-            with_threads(4, || par_chunks_mut(&mut scoped, 9, work));
-        });
-        assert_eq!(
-            pooled.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            scoped.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        );
     }
 }

@@ -368,23 +368,19 @@ mod tests {
     fn force_restart_on_idle_pool_swaps_instance() {
         // Spin the pool up, force-restart, and prove later dispatches
         // run on the fresh instance.
-        crate::with_exec_mode(crate::ExecMode::Pooled, || {
-            crate::with_threads(2, || {
-                let mut data = vec![0u8; 64];
-                crate::par_chunks_mut(&mut data, 2, |_, c| c.fill(1));
-            });
+        crate::with_threads(2, || {
+            let mut data = vec![0u8; 64];
+            crate::par_chunks_mut(&mut data, 2, |_, c| c.fill(1));
         });
         let before = restarts();
         force_restart();
         clear_cancel();
         assert_eq!(restarts(), before + 1);
         // Fresh instance: no workers yet, and dispatch works again.
-        crate::with_exec_mode(crate::ExecMode::Pooled, || {
-            crate::with_threads(2, || {
-                let mut data = vec![0u8; 64];
-                crate::par_chunks_mut(&mut data, 2, |_, c| c.fill(9));
-                assert!(data.iter().all(|&v| v == 9));
-            });
+        crate::with_threads(2, || {
+            let mut data = vec![0u8; 64];
+            crate::par_chunks_mut(&mut data, 2, |_, c| c.fill(9));
+            assert!(data.iter().all(|&v| v == 9));
         });
     }
 

@@ -17,12 +17,6 @@
 //! always executed by pool slot `s` (slot 0 = the submitting thread, see
 //! [`crate::pool`]), i.e. by the same OS thread on every call, so that
 //! thread's scratch arena keeps the shard's LUT table hot.
-//!
-//! `AXCORE_SHARDS` overrides the shard count (clamped to the number of
-//! aligned column blocks). It is ignored when the effective thread count
-//! is 1 — `with_threads(1)` must stay a strict serial baseline.
-
-use std::sync::OnceLock;
 
 /// One contiguous column range of a sharded GEMM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,13 +38,6 @@ pub struct ShardPlan {
     nshards: usize,
 }
 
-/// `AXCORE_SHARDS` parsed once: a forced shard count for multi-thread
-/// dispatch, or `None` to default to one shard per worker.
-fn shard_override() -> Option<usize> {
-    static OVERRIDE: OnceLock<Option<usize>> = OnceLock::new();
-    *OVERRIDE.get_or_init(|| crate::env::parse_usize("AXCORE_SHARDS"))
-}
-
 /// Smallest shard-boundary alignment: a multiple of `col_align` that
 /// covers at least one 64-byte output cache line (16 `f32` columns).
 fn boundary_align(col_align: usize) -> usize {
@@ -59,17 +46,14 @@ fn boundary_align(col_align: usize) -> usize {
 }
 
 impl ShardPlan {
-    /// Plan shards for `n` output columns over `workers` participants,
-    /// with shard boundaries aligned to `col_align` columns (the
+    /// Plan shards for `n` output columns over `workers` participants —
+    /// one shard per worker, capped at the number of aligned column
+    /// blocks — with shard boundaries aligned to `col_align` columns (the
     /// engine's column blocking; 1 when there is none).
     pub fn new(n: usize, workers: usize, col_align: usize) -> ShardPlan {
         let align = boundary_align(col_align);
         let blocks = n.div_ceil(align).max(1);
-        let nshards = if workers <= 1 {
-            1
-        } else {
-            shard_override().unwrap_or(workers).max(1).min(blocks)
-        };
+        let nshards = workers.clamp(1, blocks);
         ShardPlan { n, align, nshards }
     }
 

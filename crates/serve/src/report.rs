@@ -171,8 +171,7 @@ pub struct ServeReport {
     pub tier_downgrades: u64,
     /// Worker threads the GEMM pool dispatches across right now
     /// (`axcore_parallel::current_threads`). Prepared matmuls shard their
-    /// output columns across this many workers unless `AXCORE_SHARDS`
-    /// overrides the shard count.
+    /// output columns across this many workers, one shard each.
     pub gemm_threads: usize,
     /// KV-arena pages owned by live sequences at snapshot time.
     pub kv_pages_live: usize,
@@ -229,7 +228,8 @@ impl ServeReport {
     }
 }
 
-/// `values` need not be sorted; `q` in [0, 1].
+/// The `q`-quantile (`q` in [0, 1], nearest rank) of `sorted`, which
+/// must be in ascending order; 0 when empty.
 fn percentile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;

@@ -5,8 +5,9 @@
 //! thread count (the AxCore SNC tie-break bit is deterministic — it comes
 //! from the activation mantissa MSB, §5.2.2 — so even the "stochastic"
 //! rounding path is schedule-independent). These properties pin that down:
-//! running the same prepared GEMM with 1 worker and with N workers must
-//! produce byte-identical `f32` outputs.
+//! running the same prepared GEMM on the worker pool with 1 worker and
+//! with 2 or 4 workers must produce byte-identical `f32` outputs — on
+//! prefill and decode shapes and on pathological activation rows.
 //!
 //! Sizes are chosen so `m·n·k` exceeds the engines' `MIN_PARALLEL_MACS`
 //! work threshold (32·1024); below it both runs would be serial and the
@@ -38,24 +39,27 @@ fn weights(seed: u64, scale: f32) -> Vec<f32> {
 }
 
 /// Run `engine.prepare(w)` once, then execute the prepared GEMM under 1
-/// worker and under `threads` workers and assert byte identity.
+/// worker and under 2 and 4 workers and assert byte identity (NaN
+/// payloads included: outputs are compared as bits).
 fn assert_parallel_bit_exact(engine: &dyn GemmEngine, a: &[f32], w: &QuantizedMatrix) {
     let prepared = engine.prepare(w);
     let mut serial = vec![0f32; M * N];
-    let mut parallel = vec![0f32; M * N];
     axcore_parallel::with_threads(1, || {
         engine.gemm_prepared(&*prepared, a, M, &mut serial);
     });
-    axcore_parallel::with_threads(4, || {
-        engine.gemm_prepared(&*prepared, a, M, &mut parallel);
-    });
-    for (j, (s, p)) in serial.iter().zip(&parallel).enumerate() {
-        assert_eq!(
-            s.to_bits(),
-            p.to_bits(),
-            "engine {} elem {j}: serial {s} != parallel {p}",
-            engine.name()
-        );
+    for threads in [2usize, 4] {
+        let mut parallel = vec![f32::NAN; M * N];
+        axcore_parallel::with_threads(threads, || {
+            engine.gemm_prepared(&*prepared, a, M, &mut parallel);
+        });
+        for (j, (s, p)) in serial.iter().zip(&parallel).enumerate() {
+            assert_eq!(
+                s.to_bits(),
+                p.to_bits(),
+                "engine {} elem {j} at {threads} workers: serial {s} != parallel {p}",
+                engine.name()
+            );
+        }
     }
     // The plain gemm path drives the same prepared kernel; it must match too.
     let mut direct = vec![0f32; M * N];
@@ -127,8 +131,8 @@ proptest! {
         assert_parallel_bit_exact(&TenderEngine::new(4, 8), &a, &q8);
     }
 
-    /// Decode shape (m = 1): the column-tile split path in `drive` (rows <
-    /// threads) must also be bit-exact.
+    /// Decode shape (m = 1, wide n): the shared-table column-shard path,
+    /// including the packed-plane LUT gather, at 2 and 4 workers.
     #[test]
     fn decode_shape_column_split_bit_exact(seed in 0u64..200) {
         // One row, wide n, k large enough to clear the threshold:
@@ -143,11 +147,53 @@ proptest! {
             .collect();
         let engine = AxCoreEngine::new(FP16);
         let prepared = engine.prepare(&q);
-        let (mut serial, mut parallel) = (vec![0f32; n], vec![0f32; n]);
+        let mut serial = vec![0f32; n];
         axcore_parallel::with_threads(1, || prepared.gemm(&a, 1, &mut serial));
-        axcore_parallel::with_threads(4, || prepared.gemm(&a, 1, &mut parallel));
-        for (j, (s, p)) in serial.iter().zip(&parallel).enumerate() {
-            prop_assert_eq!(s.to_bits(), p.to_bits(), "col {}: {} != {}", j, s, p);
+        for threads in [2usize, 4] {
+            let mut parallel = vec![f32::NAN; n];
+            axcore_parallel::with_threads(threads, || prepared.gemm(&a, 1, &mut parallel));
+            for (j, (s, p)) in serial.iter().zip(&parallel).enumerate() {
+                prop_assert_eq!(
+                    s.to_bits(),
+                    p.to_bits(),
+                    "col {} at {} workers: {} != {}",
+                    j,
+                    threads,
+                    s,
+                    p
+                );
+            }
         }
     }
+}
+
+/// Pathological activation rows — NaN, ±∞, negative zeros, f32
+/// subnormals, FP16-subnormal magnitudes — through every engine at
+/// 1/2/4 workers: no panics, and the parallel output stays
+/// byte-identical to the serial one.
+#[test]
+fn pathological_activations_parallel_bit_exact() {
+    let mut a = activations(41);
+    a[0] = f32::NAN;
+    a[K + 1] = f32::INFINITY;
+    a[2 * K + 2] = f32::NEG_INFINITY;
+    for v in a[3 * K..4 * K].iter_mut() {
+        *v = -0.0;
+    }
+    for (i, v) in a[4 * K..5 * K].iter_mut().enumerate() {
+        *v = f32::from_bits(1 + (i as u32 % 127));
+    }
+    for (i, v) in a[5 * K..6 * K].iter_mut().enumerate() {
+        *v = 3.0e-5 + i as f32 * 1.0e-7;
+    }
+    let q_fp4 = GroupQuantizer::adaptive_fp4(32, 4, None).quantize(&weights(41, 0.4), K, N);
+    assert_parallel_bit_exact(&AxCoreEngine::new(FP16), &a, &q_fp4);
+    let q_e2m1 = GroupQuantizer::fixed(QuantFormat::E2M1, 32).quantize(&weights(41, 0.4), K, N);
+    assert_parallel_bit_exact(&ExactEngine::new(FP16), &a, &q_e2m1);
+    assert_parallel_bit_exact(&FpmaEngine::new(FP16), &a, &q_e2m1);
+    let q_i4 = GroupQuantizer::fixed(QuantFormat::INT4, 32).quantize(&weights(41, 0.3), K, N);
+    assert_parallel_bit_exact(&FignaEngine::new(FP16), &a, &q_i4);
+    let q_i8 = GroupQuantizer::fixed(QuantFormat::INT8, 32).quantize(&weights(41, 0.3), K, N);
+    assert_parallel_bit_exact(&FiglutEngine::new(FP16), &a, &q_i8);
+    assert_parallel_bit_exact(&TenderEngine::new(8, 4), &a, &q_i8);
 }

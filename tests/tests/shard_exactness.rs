@@ -3,8 +3,8 @@
 //! Sharding is a pure partition of the output columns: each worker owns
 //! a contiguous, cache-line-aligned column range, per-column accumulation
 //! order is unchanged from the serial kernel, and writeback targets
-//! disjoint output slices. So at *any* worker count, in either execution
-//! mode, on either kernel tier, every engine must produce output
+//! disjoint output slices. So at *any* worker count, on either kernel
+//! tier, every engine must produce output
 //! byte-identical to the one-worker serial path. These properties pin
 //! that down for all six prepared engines at 2/4/8 workers (8 deliberately
 //! oversubscribes small matrices so the shard-count cap is exercised)
@@ -22,7 +22,6 @@ use axcore::engines::{
     LutPolicy, TenderEngine,
 };
 use axcore::{with_verify_policy, VerifyPolicy};
-use axcore_parallel::ExecMode;
 use axcore_quant::{GroupQuantizer, QuantFormat, QuantizedMatrix};
 use axcore_softfloat::FP16;
 use proptest::prelude::*;
@@ -50,8 +49,8 @@ fn weights(seed: u64, len: usize, scale: f32) -> Vec<f32> {
         .collect()
 }
 
-/// Serial reference at one worker, then 2/4/8 workers in both execution
-/// modes; every element must agree bit-for-bit.
+/// Serial reference at one worker, then 2/4/8 workers; every element
+/// must agree bit-for-bit.
 fn assert_shard_bit_exact(engine: &dyn GemmEngine, a: &[f32], m: usize, w: &QuantizedMatrix) {
     let prepared = engine.prepare(w);
     let n = w.n;
@@ -60,21 +59,17 @@ fn assert_shard_bit_exact(engine: &dyn GemmEngine, a: &[f32], m: usize, w: &Quan
         engine.gemm_prepared(&*prepared, a, m, &mut serial);
     });
     for threads in [2usize, 4, 8] {
-        for mode in [ExecMode::Pooled, ExecMode::Scoped] {
-            let mut sharded = vec![f32::NAN; m * n];
-            axcore_parallel::with_threads(threads, || {
-                axcore_parallel::with_exec_mode(mode, || {
-                    engine.gemm_prepared(&*prepared, a, m, &mut sharded);
-                });
-            });
-            for (j, (s, p)) in serial.iter().zip(&sharded).enumerate() {
-                assert_eq!(
-                    s.to_bits(),
-                    p.to_bits(),
-                    "engine {} elem {j} at {threads} workers ({mode:?}): serial {s} != sharded {p}",
-                    engine.name()
-                );
-            }
+        let mut sharded = vec![f32::NAN; m * n];
+        axcore_parallel::with_threads(threads, || {
+            engine.gemm_prepared(&*prepared, a, m, &mut sharded);
+        });
+        for (j, (s, p)) in serial.iter().zip(&sharded).enumerate() {
+            assert_eq!(
+                s.to_bits(),
+                p.to_bits(),
+                "engine {} elem {j} at {threads} workers: serial {s} != sharded {p}",
+                engine.name()
+            );
         }
     }
 }
@@ -173,13 +168,11 @@ fn quarantined_tier_fallback_stays_bit_exact_under_shards() {
     assert!(corrupt.inject_fault("planes", 3, 5));
     let mut sharded = vec![f32::NAN; DEC_N];
     axcore_parallel::with_threads(4, || {
-        axcore_parallel::with_exec_mode(ExecMode::Pooled, || {
-            with_lut_policy(LutPolicy::Always, || {
-                with_verify_policy(VerifyPolicy::Full, || {
-                    corrupt.try_gemm(&a, 1, &mut sharded).unwrap_or_else(|e| panic!("{e}"));
-                })
+        with_lut_policy(LutPolicy::Always, || {
+            with_verify_policy(VerifyPolicy::Full, || {
+                corrupt.try_gemm(&a, 1, &mut sharded).unwrap_or_else(|e| panic!("{e}"));
             })
-        });
+        })
     });
     let report = health::take_report().expect("degraded call must publish a report");
     assert_eq!(report.tier, Tier::Direct, "must land on the direct tier");

@@ -29,7 +29,7 @@
 use axcore::engines::{
     with_act_policy, ActPolicy, AxCoreEngine, FignaEngine, FiglutEngine, FpmaEngine, GemmEngine,
 };
-use axcore_parallel::{health, ExecMode, Tier};
+use axcore_parallel::{health, Tier};
 use axcore_quant::{GroupQuantizer, QuantFormat, QuantizedMatrix};
 use axcore_softfloat::FP16;
 use proptest::prelude::*;
@@ -101,26 +101,21 @@ fn assert_w4a8_within_tolerance(
         }
     }
     for workers in [2usize, 4, 8] {
-        for mode in [ExecMode::Pooled, ExecMode::Scoped] {
-            let mut sharded = vec![f32::NAN; M * q.n];
-            axcore_parallel::with_threads(workers, || {
-                axcore_parallel::with_exec_mode(mode, || {
-                    with_act_policy(ActPolicy::Always, || prepared.gemm(a, M, &mut sharded));
-                });
-            });
-            for (j, (s, p)) in serial_w4a8.iter().zip(&sharded).enumerate() {
-                prop_assert_eq!(
-                    s.to_bits(),
-                    p.to_bits(),
-                    "{} elem {} at {} workers ({:?}): W4A8 serial {} != sharded {}",
-                    engine.name(),
-                    j,
-                    workers,
-                    mode,
-                    s,
-                    p
-                );
-            }
+        let mut sharded = vec![f32::NAN; M * q.n];
+        axcore_parallel::with_threads(workers, || {
+            with_act_policy(ActPolicy::Always, || prepared.gemm(a, M, &mut sharded));
+        });
+        for (j, (s, p)) in serial_w4a8.iter().zip(&sharded).enumerate() {
+            prop_assert_eq!(
+                s.to_bits(),
+                p.to_bits(),
+                "{} elem {} at {} workers: W4A8 serial {} != sharded {}",
+                engine.name(),
+                j,
+                workers,
+                s,
+                p
+            );
         }
     }
     Ok(())

@@ -30,7 +30,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use axcore::engines::{with_act_policy, with_lut_policy, ActPolicy, AxCoreEngine, GemmEngine, LutPolicy};
-use axcore_parallel::ExecMode;
 use axcore_quant::GroupQuantizer;
 use axcore_softfloat::FP16;
 
@@ -94,37 +93,10 @@ fn steady_state_decode_allocates_nothing() {
     let mut out = vec![0f32; n];
 
     axcore_parallel::with_threads(1, || {
-        axcore_parallel::with_exec_mode(ExecMode::Pooled, || {
-            for policy in [LutPolicy::Always, LutPolicy::Never] {
-                with_lut_policy(policy, || {
-                    // Warmup: populate the prepared-LUT cache and grow
-                    // the per-thread scratch arena to steady-state size.
-                    for _ in 0..3 {
-                        prepared.gemm(&a, 1, &mut out);
-                    }
-                    let count = allocations_during(|| {
-                        for _ in 0..50 {
-                            prepared.gemm(&a, 1, &mut out);
-                        }
-                    });
-                    assert_eq!(
-                        count, 0,
-                        "steady-state decode under {policy:?} made {count} heap \
-                         allocations across 50 calls; expected zero"
-                    );
-                });
-            }
-        });
-    });
-
-    // Sharded decode: four pool workers, each owning a column shard with
-    // its own arena-recycled LUT table. Warmup spawns the workers and
-    // fills every participant's arena slot; stable slot→thread affinity
-    // then keeps each worker reusing its own warm table, so the armed
-    // window must see zero allocations from any thread.
-    axcore_parallel::with_threads(4, || {
-        axcore_parallel::with_exec_mode(ExecMode::Pooled, || {
-            with_lut_policy(LutPolicy::Always, || {
+        for policy in [LutPolicy::Always, LutPolicy::Never] {
+            with_lut_policy(policy, || {
+                // Warmup: populate the prepared-LUT cache and grow the
+                // per-thread scratch arena to steady-state size.
                 for _ in 0..3 {
                     prepared.gemm(&a, 1, &mut out);
                 }
@@ -135,10 +107,33 @@ fn steady_state_decode_allocates_nothing() {
                 });
                 assert_eq!(
                     count, 0,
-                    "steady-state sharded decode at 4 workers made {count} heap \
+                    "steady-state decode under {policy:?} made {count} heap \
                      allocations across 50 calls; expected zero"
                 );
             });
+        }
+    });
+
+    // Sharded decode: four pool workers, each owning a column shard with
+    // its own arena-recycled LUT table. Warmup spawns the workers and
+    // fills every participant's arena slot; stable slot→thread affinity
+    // then keeps each worker reusing its own warm table, so the armed
+    // window must see zero allocations from any thread.
+    axcore_parallel::with_threads(4, || {
+        with_lut_policy(LutPolicy::Always, || {
+            for _ in 0..3 {
+                prepared.gemm(&a, 1, &mut out);
+            }
+            let count = allocations_during(|| {
+                for _ in 0..50 {
+                    prepared.gemm(&a, 1, &mut out);
+                }
+            });
+            assert_eq!(
+                count, 0,
+                "steady-state sharded decode at 4 workers made {count} heap \
+                 allocations across 50 calls; expected zero"
+            );
         });
     });
 
@@ -156,22 +151,20 @@ fn steady_state_decode_allocates_nothing() {
         let (a, out) = (&rows[..m * k], &mut out_rows[..m * n]);
         for threads in [1usize, 4] {
             axcore_parallel::with_threads(threads, || {
-                axcore_parallel::with_exec_mode(ExecMode::Pooled, || {
-                    with_act_policy(ActPolicy::Always, || {
-                        for _ in 0..3 {
+                with_act_policy(ActPolicy::Always, || {
+                    for _ in 0..3 {
+                        prepared.gemm(a, m, out);
+                    }
+                    let count = allocations_during(|| {
+                        for _ in 0..50 {
                             prepared.gemm(a, m, out);
                         }
-                        let count = allocations_during(|| {
-                            for _ in 0..50 {
-                                prepared.gemm(a, m, out);
-                            }
-                        });
-                        assert_eq!(
-                            count, 0,
-                            "steady-state W4A8 at m = {m}, {threads} worker(s) made {count} \
-                             heap allocations across 50 calls; expected zero"
-                        );
                     });
+                    assert_eq!(
+                        count, 0,
+                        "steady-state W4A8 at m = {m}, {threads} worker(s) made {count} \
+                         heap allocations across 50 calls; expected zero"
+                    );
                 });
             });
         }
