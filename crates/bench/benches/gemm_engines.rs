@@ -28,42 +28,42 @@ fn bench_engines(c: &mut Criterion) {
     g.bench_function("axcore_full", |b| {
         let e = AxCoreEngine::new(FP16);
         b.iter(|| {
-            e.gemm(&a, m, &q_fp4, &mut out);
+            e.try_gemm(&a, m, &q_fp4, &mut out).expect("gemm");
             black_box(out[0])
         })
     });
     g.bench_function("axcore_mpfpma_base", |b| {
         let e = AxCoreEngine::with_config(FP16, AxCoreConfig::mp_fpma_base());
         b.iter(|| {
-            e.gemm(&a, m, &q_e2m1, &mut out);
+            e.try_gemm(&a, m, &q_e2m1, &mut out).expect("gemm");
             black_box(out[0])
         })
     });
     g.bench_function("fpc_exact", |b| {
         let e = ExactEngine::new(FP16);
         b.iter(|| {
-            e.gemm(&a, m, &q_e2m1, &mut out);
+            e.try_gemm(&a, m, &q_e2m1, &mut out).expect("gemm");
             black_box(out[0])
         })
     });
     g.bench_function("fpma_uniform", |b| {
         let e = FpmaEngine::new(FP16);
         b.iter(|| {
-            e.gemm(&a, m, &q_e2m1, &mut out);
+            e.try_gemm(&a, m, &q_e2m1, &mut out).expect("gemm");
             black_box(out[0])
         })
     });
     g.bench_function("figna_int4", |b| {
         let e = FignaEngine::new(FP16);
         b.iter(|| {
-            e.gemm(&a, m, &q_int4, &mut out);
+            e.try_gemm(&a, m, &q_int4, &mut out).expect("gemm");
             black_box(out[0])
         })
     });
     g.bench_function("tender_w8a8", |b| {
         let e = TenderEngine::new(8, 8);
         b.iter(|| {
-            e.gemm(&a, m, &q_int8, &mut out);
+            e.try_gemm(&a, m, &q_int8, &mut out).expect("gemm");
             black_box(out[0])
         })
     });

@@ -70,11 +70,12 @@
 
 use axcore::accum::{NormUnit, PartialAcc};
 use axcore::axscale::AxScale;
-use axcore::engines::{with_act_policy, with_lut_policy, ActPolicy, AxCoreEngine, GemmEngine, LutPolicy};
+use axcore::engines::{with_act_policy, ActPolicy, AxCoreEngine, GemmEngine, LutPolicy};
 use axcore::pe::{Pe, WeightLane};
 use axcore::preadd::PreAdd;
 use axcore_fpma::snc::SncPolicy;
 use axcore_fpma::MpFpma;
+use axcore_parallel::{current_exec, with_exec, ExecConfig};
 use axcore_quant::{GroupQuantizer, QuantFormat, QuantizedMatrix};
 use axcore_softfloat::{FpFormat, FP16};
 use std::collections::HashMap;
@@ -155,6 +156,11 @@ const PANEL_CALLS: usize = 8;
 /// Strict-mode ceiling on the W4A8-vs-FP-activation perplexity delta, in
 /// percent — the accuracy bound documented in DESIGN.md §10.
 const W4A8_PPL_BOUND_PCT: f64 = 5.0;
+
+/// The current execution config with the LUT policy pinned.
+fn lut(lut: LutPolicy) -> ExecConfig {
+    ExecConfig { lut, ..current_exec() }
+}
 
 /// Best-of-reps wall time for `f`, in seconds. The minimum is the
 /// closest observable to the noise-free runtime on a shared machine
@@ -263,7 +269,7 @@ fn main() {
     seed_gemm(FP16, a_decode, 1, &q, &mut seed_out);
     let seed_bits: Vec<u32> = seed_out.iter().map(|v| v.to_bits()).collect();
     for policy in [LutPolicy::Never, LutPolicy::Always] {
-        with_lut_policy(policy, || engine.gemm(a_decode, 1, &q, &mut out[..N]));
+        with_exec(lut(policy), || engine.try_gemm(a_decode, 1, &q, &mut out[..N]).expect("gemm"));
         assert_eq!(
             seed_bits,
             out[..N].iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -279,7 +285,7 @@ fn main() {
     });
     let prefill_serial = time_it(5, || {
         axcore_parallel::with_threads(1, || {
-            with_lut_policy(LutPolicy::Never, || engine.gemm(&a_prefill, PREFILL_M, &q, &mut out))
+            with_exec(lut(LutPolicy::Never), || engine.try_gemm(&a_prefill, PREFILL_M, &q, &mut out).expect("gemm"))
         });
     });
     let decode_seed = time_it(3, || {
@@ -289,9 +295,9 @@ fn main() {
     });
     let decode_serial = time_it(3, || {
         axcore_parallel::with_threads(1, || {
-            with_lut_policy(LutPolicy::Never, || {
+            with_exec(lut(LutPolicy::Never), || {
                 for _ in 0..DECODE_CALLS {
-                    engine.gemm(a_decode, 1, &q, &mut out[..N]);
+                    engine.try_gemm(a_decode, 1, &q, &mut out[..N]).expect("gemm");
                 }
             })
         });
@@ -318,52 +324,52 @@ fn main() {
             let [mut pp, mut pl, mut dp, mut dpo, mut dw, mut dw8, mut pw64] = [f64::MAX; 7];
             for _ in 0..5 {
                 pp = pp.min(time_it(1, || {
-                    with_lut_policy(LutPolicy::Never, || {
-                        engine.gemm_prepared(&*prepared, &a_prefill, PREFILL_M, &mut out)
+                    with_exec(lut(LutPolicy::Never), || {
+                        engine.try_gemm_prepared(&*prepared, &a_prefill, PREFILL_M, &mut out).expect("gemm")
                     })
                 }));
                 pl = pl.min(time_it(1, || {
-                    with_lut_policy(LutPolicy::Always, || {
-                        engine.gemm_prepared(&*prepared, &a_prefill, PREFILL_M, &mut out)
+                    with_exec(lut(LutPolicy::Always), || {
+                        engine.try_gemm_prepared(&*prepared, &a_prefill, PREFILL_M, &mut out).expect("gemm")
                     })
                 }));
                 dp = dp.min(time_it(1, || {
-                    with_lut_policy(LutPolicy::Never, || {
+                    with_exec(lut(LutPolicy::Never), || {
                         for _ in 0..DECODE_CALLS {
-                            engine.gemm_prepared(&*prepared, a_decode, 1, &mut out[..N]);
+                            engine.try_gemm_prepared(&*prepared, a_decode, 1, &mut out[..N]).expect("gemm");
                         }
                     })
                 }));
                 dpo = dpo.min(time_it(1, || {
-                    with_lut_policy(LutPolicy::Always, || {
+                    with_exec(lut(LutPolicy::Always), || {
                         for _ in 0..DECODE_CALLS {
-                            engine.gemm_prepared(&*prepared, a_decode, 1, &mut out[..N]);
+                            engine.try_gemm_prepared(&*prepared, a_decode, 1, &mut out[..N]).expect("gemm");
                         }
                     })
                 }));
                 dw = dw.min(time_it(1, || {
                     with_act_policy(ActPolicy::Always, || {
                         for _ in 0..DECODE_CALLS {
-                            engine.gemm_prepared(&*prepared, a_decode, 1, &mut out[..N]);
+                            engine.try_gemm_prepared(&*prepared, a_decode, 1, &mut out[..N]).expect("gemm");
                         }
                     })
                 }));
                 dw8 = dw8.min(time_it(1, || {
                     with_act_policy(ActPolicy::Always, || {
                         for _ in 0..DECODE_CALLS {
-                            engine.gemm_prepared(
+                            engine.try_gemm_prepared(
                                 &*prepared,
                                 a_stacked,
                                 STACKED_M,
                                 &mut out[..STACKED_M * N],
-                            );
+                            ).expect("gemm");
                         }
                     })
                 }));
                 pw64 = pw64.min(time_it(1, || {
                     with_act_policy(ActPolicy::Always, || {
                         for _ in 0..PANEL_CALLS {
-                            engine.gemm_prepared(&*prepared, a_panel, PANEL_M, &mut out[..PANEL_M * N]);
+                            engine.try_gemm_prepared(&*prepared, a_panel, PANEL_M, &mut out[..PANEL_M * N]).expect("gemm");
                         }
                     })
                 }));
@@ -403,12 +409,11 @@ fn main() {
                 (&mut dv_sample, axcore::VerifyPolicy::Sample(16)),
             ] {
                 *slot = slot.min(time_it(1, || {
-                    with_lut_policy(LutPolicy::Always, || {
-                        axcore::with_verify_policy(policy, || {
-                            for _ in 0..DECODE_CALLS {
-                                engine.gemm_prepared(&*prepared, a_decode, 1, &mut out[..N]);
-                            }
-                        })
+                    let cfg = ExecConfig { lut: LutPolicy::Always, verify: policy, ..current_exec() };
+                    with_exec(cfg, || {
+                        for _ in 0..DECODE_CALLS {
+                            engine.try_gemm_prepared(&*prepared, a_decode, 1, &mut out[..N]).expect("gemm");
+                        }
                     })
                 }));
             }
@@ -421,16 +426,16 @@ fn main() {
     // kmetrics counters disabled (one relaxed load per section).
     let (pooled_lut_timing, w4a8_timing) = axcore_parallel::with_threads(1, || {
         let ((), lut_t) = axcore::kmetrics::with_kernel_timing(|| {
-            with_lut_policy(LutPolicy::Always, || {
+            with_exec(lut(LutPolicy::Always), || {
                 for _ in 0..DECODE_CALLS {
-                    engine.gemm_prepared(&*prepared, a_decode, 1, &mut out[..N]);
+                    engine.try_gemm_prepared(&*prepared, a_decode, 1, &mut out[..N]).expect("gemm");
                 }
             })
         });
         let ((), w_t) = axcore::kmetrics::with_kernel_timing(|| {
             with_act_policy(ActPolicy::Always, || {
                 for _ in 0..DECODE_CALLS {
-                    engine.gemm_prepared(&*prepared, a_decode, 1, &mut out[..N]);
+                    engine.try_gemm_prepared(&*prepared, a_decode, 1, &mut out[..N]).expect("gemm");
                 }
             })
         });

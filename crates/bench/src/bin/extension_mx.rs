@@ -28,7 +28,7 @@ fn main() {
     let engine = AxCoreEngine::new(FP16);
     let snr_of = |q: &axcore_quant::QuantizedMatrix| {
         let mut out = vec![0f32; m * n];
-        engine.gemm(&a, m, q, &mut out);
+        engine.try_gemm(&a, m, q, &mut out).expect("gemm");
         let o: Vec<f64> = out.iter().map(|&x| x as f64).collect();
         snr_db(&reference, &o)
     };

@@ -28,7 +28,7 @@ fn main() {
         axcore::engines::reference_gemm(&a, m, &wq, k, n, &mut exact);
         let snr_of = |cfg: AxCoreConfig| {
             let mut out = vec![0f32; m * n];
-            AxCoreEngine::with_config(axcore_softfloat::FP16, cfg).gemm(&a, m, &q, &mut out);
+            AxCoreEngine::with_config(axcore_softfloat::FP16, cfg).try_gemm(&a, m, &q, &mut out).expect("gemm");
             let approx: Vec<f64> = out.iter().map(|&x| x as f64).collect();
             snr_db(&exact, &approx)
         };
@@ -57,7 +57,7 @@ fn main() {
         axcore::engines::reference_gemm(&a, m, &wq, k, n, &mut exact);
         let snr_of = |cfg: AxCoreConfig| {
             let mut out = vec![0f32; m * n];
-            AxCoreEngine::with_config(axcore_softfloat::FP16, cfg).gemm(&a, m, &q, &mut out);
+            AxCoreEngine::with_config(axcore_softfloat::FP16, cfg).try_gemm(&a, m, &q, &mut out).expect("gemm");
             let approx: Vec<f64> = out.iter().map(|&x| x as f64).collect();
             snr_db(&exact, &approx)
         };

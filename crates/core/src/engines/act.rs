@@ -6,76 +6,17 @@
 //! bounded accuracy delta for integer arithmetic. It is therefore
 //! strictly **opt-in** — with `AXCORE_ACT` unset every engine behaves
 //! exactly as before — and the policy is resolved once per `gemm` call
-//! on the calling thread, mirroring [`super::lut`]'s discipline: pool
-//! workers never read the override, so the chosen path is reproducible
-//! at any parallelism.
+//! on the calling thread, mirroring [`super::lut`]'s discipline: the
+//! ladder driver reads the call's [`ActPolicy`] and passes it to
+//! `use_w4a8`, so the chosen path is reproducible at any parallelism.
 
-use std::cell::Cell;
-use std::sync::OnceLock;
+use axcore_parallel::{current_exec, with_exec, ExecConfig};
 
-/// Per-call choice of the W4A8 integer-activation tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ActPolicy {
-    /// Engage the tier when the prepared weights are eligible (every
-    /// 4-bit format decodes onto an integer grid and the group size is
-    /// a multiple of the Q8 block) **and** the call shape repays the
-    /// tier's per-call setup. The cost model is calibrated from
-    /// `bench_gemm`'s `kernel_us_per_call` counters (`act_quant_us`,
-    /// `lut_build_us`) — see [`auto_engages`] for the two thresholds.
-    /// [`ActPolicy::Always`] remains the shape-blind force.
-    Auto,
-    /// Force the tier; calls on ineligible weights (8-bit formats,
-    /// off-grid values) fall back to the engine's FP path rather than
-    /// erroring, since eligibility is a property of the weights fixed
-    /// at `prepare()` time.
-    Always,
-    /// Keep the bit-exact FP-activation paths (the default).
-    #[default]
-    Never,
-}
+pub use axcore_parallel::ActPolicy;
 
-thread_local! {
-    /// Override installed by [`with_act_policy`] on this thread.
-    static OVERRIDE: Cell<Option<ActPolicy>> = const { Cell::new(None) };
-}
-
-/// Process-wide default from the `AXCORE_ACT` environment variable
-/// (`auto` / `always` / `never`; unset = never, unrecognized = never
-/// with a warning).
-fn env_policy() -> ActPolicy {
-    static ENV: OnceLock<ActPolicy> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        axcore_parallel::env::parse("AXCORE_ACT", "auto|always|never", |s| {
-            match s.to_ascii_lowercase().as_str() {
-                "auto" => Some(ActPolicy::Auto),
-                "always" => Some(ActPolicy::Always),
-                "never" | "" => Some(ActPolicy::Never),
-                _ => None,
-            }
-        })
-        .unwrap_or(ActPolicy::Never)
-    })
-}
-
-/// The W4A8 policy in effect on the current thread.
-pub fn current_act_policy() -> ActPolicy {
-    OVERRIDE.with(|o| o.get()).unwrap_or_else(env_policy)
-}
-
-/// Run `f` with the W4A8 policy pinned on this thread (restored on
-/// exit, including on panic). Engines resolve the policy before fanning
-/// work out to the pool, so pinning the calling thread governs the
-/// whole call.
-pub fn with_act_policy<R>(policy: ActPolicy, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<ActPolicy>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            OVERRIDE.with(|o| o.set(self.0));
-        }
-    }
-    let prev = OVERRIDE.with(|o| o.replace(Some(policy)));
-    let _restore = Restore(prev);
-    f()
+/// [`with_exec`] with only the W4A8 policy changed.
+pub fn with_act_policy<R>(act: ActPolicy, f: impl FnOnce() -> R) -> R {
+    with_exec(ExecConfig { act, ..current_exec() }, f)
 }
 
 /// Below this output width the per-call Q8 activation quantization
@@ -95,17 +36,17 @@ const AUTO_MAX_M: usize = 32;
 
 /// The `Auto` cost model: does shape `(m, n)` repay the W4A8 tier's
 /// per-call setup? True for decode-shaped calls (`m <` one LUT panel)
-/// over enough output columns (`n >=` [`AUTO_MIN_N`]) to amortize the
+/// over enough output columns (`n >=` 8) to amortize the
 /// activation quantization.
 pub fn auto_engages(m: usize, n: usize) -> bool {
     n >= AUTO_MIN_N && m < AUTO_MAX_M
 }
 
-/// Decide whether this call runs on the W4A8 tier, given whether the
-/// prepared weights are structurally `eligible` for it and the call
-/// shape (`m` activation rows against `n` output columns).
-pub(crate) fn use_w4a8(eligible: bool, m: usize, n: usize) -> bool {
-    match current_act_policy() {
+/// Decide whether this call runs on the W4A8 tier under `policy`, given
+/// whether the prepared weights are structurally `eligible` for it and
+/// the call shape (`m` activation rows against `n` output columns).
+pub(crate) fn use_w4a8(policy: ActPolicy, eligible: bool, m: usize, n: usize) -> bool {
+    match policy {
         ActPolicy::Never => false,
         ActPolicy::Always => eligible,
         ActPolicy::Auto => eligible && auto_engages(m, n),
@@ -120,43 +61,46 @@ mod tests {
     fn default_is_never() {
         // AXCORE_ACT is unset in the test environment; the lossy tier
         // must stay dark unless explicitly requested.
-        assert!(!use_w4a8(true, 1, 64));
+        assert_eq!(current_exec().act, ActPolicy::Never);
+        assert!(!use_w4a8(current_exec().act, true, 1, 64));
     }
 
+    /// `with_act_policy` pins only the W4A8 field, nests, and restores;
+    /// the call decision follows the pinned policy.
     #[test]
     fn overrides_pin_and_restore() {
-        let outer = current_act_policy();
+        let outer = current_exec();
         with_act_policy(ActPolicy::Always, || {
-            assert!(use_w4a8(true, 1, 64));
-            assert!(!use_w4a8(false, 1, 64), "ineligible weights always fall back");
+            assert_eq!(current_exec(), ExecConfig { act: ActPolicy::Always, ..outer });
+            assert!(use_w4a8(current_exec().act, true, 1, 64));
             with_act_policy(ActPolicy::Never, || {
-                assert!(!use_w4a8(true, 1, 64));
+                assert!(!use_w4a8(current_exec().act, true, 1, 64));
             });
-            assert_eq!(current_act_policy(), ActPolicy::Always);
+            assert_eq!(current_exec().act, ActPolicy::Always);
         });
-        assert_eq!(current_act_policy(), outer);
-        with_act_policy(ActPolicy::Auto, || assert!(use_w4a8(true, 1, 64)));
+        assert_eq!(current_exec(), outer);
+        with_act_policy(ActPolicy::Auto, || assert!(use_w4a8(current_exec().act, true, 1, 64)));
     }
 
     #[test]
     fn auto_cost_model_pins_both_crossovers() {
-        with_act_policy(ActPolicy::Auto, || {
-            // Decode-shaped over a real weight width: setup repaid.
-            assert!(use_w4a8(true, 1, 64));
-            assert!(use_w4a8(true, 31, 8), "just under both thresholds");
-            // Prefill panels: the amortized FP LUT path wins.
-            assert!(!use_w4a8(true, 32, 64), "m crossover engages at PANEL_ROWS");
-            assert!(!use_w4a8(true, 64, 64));
-            // Too few columns to amortize the Q8 activation pass.
-            assert!(!use_w4a8(true, 1, 4), "n crossover engages below 8 columns");
-            assert!(use_w4a8(true, 1, 8));
-            // Structural eligibility still gates everything.
-            assert!(!use_w4a8(false, 1, 64));
-        });
-        // Always stays shape-blind on both sides of each crossover.
-        with_act_policy(ActPolicy::Always, || {
-            assert!(use_w4a8(true, 64, 4));
-            assert!(use_w4a8(true, 1, 64));
-        });
+        let auto = |eligible, m, n| use_w4a8(ActPolicy::Auto, eligible, m, n);
+        // Decode-shaped over a real weight width: setup repaid.
+        assert!(auto(true, 1, 64));
+        assert!(auto(true, 31, 8), "just under both thresholds");
+        // Prefill panels: the amortized FP LUT path wins.
+        assert!(!auto(true, 32, 64), "m crossover engages at PANEL_ROWS");
+        assert!(!auto(true, 64, 64));
+        // Too few columns to amortize the Q8 activation pass.
+        assert!(!auto(true, 1, 4), "n crossover engages below 8 columns");
+        assert!(auto(true, 1, 8));
+        // Structural eligibility still gates everything.
+        assert!(!auto(false, 1, 64));
+        // Always stays shape-blind on both sides of each crossover, and
+        // ineligible weights always fall back.
+        assert!(use_w4a8(ActPolicy::Always, true, 64, 4));
+        assert!(use_w4a8(ActPolicy::Always, true, 1, 64));
+        assert!(!use_w4a8(ActPolicy::Always, false, 1, 64));
+        assert!(!use_w4a8(ActPolicy::Never, true, 1, 64));
     }
 }

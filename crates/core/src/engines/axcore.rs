@@ -7,7 +7,7 @@ use crate::accum::{NormUnit, PartialAcc, PreparedProduct};
 use crate::axscale::AxScale;
 use crate::engines::prepared::{drive, drive_lut, run_ladder, Ladder};
 use crate::engines::w4a8::W4a8Prep;
-use crate::engines::{check_shapes, lut, GemmEngine, PreparedGemm};
+use crate::engines::{lut, GemmEngine, LutPolicy, PreparedGemm};
 use crate::error::GemmError;
 use crate::pe::{Pe, WeightLane};
 use crate::preadd::{PreAdd, PreAddTerm};
@@ -106,7 +106,7 @@ impl AxCoreConfig {
 /// let q = GroupQuantizer::fixed(QuantFormat::E2M1, 32).quantize(&w, 64, 4);
 /// let a = vec![0.5f32; 2 * 64];
 /// let mut out = vec![0f32; 2 * 4];
-/// AxCoreEngine::new(FP16).gemm(&a, 2, &q, &mut out);
+/// AxCoreEngine::new(FP16).try_gemm(&a, 2, &q, &mut out).expect("shapes match");
 /// ```
 #[derive(Debug, Clone)]
 pub struct AxCoreEngine {
@@ -181,17 +181,6 @@ impl GemmEngine for AxCoreEngine {
                 }
             }
         }
-    }
-
-    fn try_gemm(
-        &self,
-        a: &[f32],
-        m: usize,
-        w: &QuantizedMatrix,
-        out: &mut [f32],
-    ) -> Result<(), GemmError> {
-        check_shapes(a, m, w, out)?;
-        self.try_preload(w)?.try_gemm(a, m, out)
     }
 
     fn try_prepare(&self, w: &QuantizedMatrix) -> Result<Box<dyn PreparedGemm>, GemmError> {
@@ -520,9 +509,9 @@ impl Ladder for AxCorePrepared {
         self.w4a8.as_ref()
     }
 
-    fn lut_rungs(&self) -> &'static [Tier] {
+    fn lut_rungs(&self, policy: LutPolicy) -> &'static [Tier] {
         // Per-element table width: every unit × its padded code space.
-        if !lut::use_lut(self.n, self.units.len() * self.code_space) {
+        if !lut::use_lut(policy, self.n, self.units.len() * self.code_space) {
             &[]
         } else if self.planes.is_packed() && self.avx2_gather_eligible() {
             &[Tier::Avx2Lut, Tier::SwarLut]
@@ -538,17 +527,17 @@ impl Ladder for AxCorePrepared {
         }
     }
 
-    fn run(&self, tier: Tier, a: &[f32], m: usize, out: &mut [f32]) {
+    fn run(&self, tier: Tier, a: &[f32], m: usize, out: &mut [f32], threads: usize) {
         match tier {
-            Tier::Avx2Lut => self.gemm_lut(a, m, out, true),
-            Tier::SwarLut => self.gemm_lut(a, m, out, false),
-            _ => self.gemm_direct(a, m, out),
+            Tier::Avx2Lut => self.gemm_lut(a, m, out, threads, true),
+            Tier::SwarLut => self.gemm_lut(a, m, out, threads, false),
+            _ => self.gemm_direct(a, m, out, threads),
         }
     }
 
     fn recover(&self, a: &[f32], m: usize, out: &mut [f32]) -> Result<(), GemmError> {
         let fresh = self.src_engine.try_preload(self.verifier.pristine())?;
-        fresh.gemm_direct(a, m, out);
+        fresh.gemm_direct(a, m, out, 1);
         Ok(())
     }
 }
@@ -581,7 +570,7 @@ impl AxCorePrepared {
 
     /// Direct per-MAC path: every (element, column) product runs the
     /// PreAdd → PE pipeline against the element's stationary lane.
-    fn gemm_direct(&self, a: &[f32], m: usize, out: &mut [f32]) {
+    fn gemm_direct(&self, a: &[f32], m: usize, out: &mut [f32], threads: usize) {
         let (k, n) = (self.k, self.n);
         let gs = self.group_size;
         let groups = k / gs;
@@ -592,7 +581,7 @@ impl AxCorePrepared {
             bits: arena::take(k, 0u32),
             terms: arena::take(self.units.len() * k, zero_term),
         };
-        drive(m, k, n, self.block_cols, out, mk_scratch, |s: &mut AxScratch, i, col0, cols| {
+        drive(m, k, n, self.block_cols, threads, out, mk_scratch, |s: &mut AxScratch, i, col0, cols| {
             if s.row != i {
                 // Encode the activation row once, then advance each group
                 // slice through the PreAdds of only the units that group's
@@ -660,7 +649,7 @@ impl AxCorePrepared {
     /// `allow_avx2` gates the AVX2 gather kernel so the tier ladder can
     /// address the SWAR fallback explicitly (a quarantined AVX2 tier must
     /// not be re-entered through the generic dispatch).
-    fn gemm_lut(&self, a: &[f32], m: usize, out: &mut [f32], allow_avx2: bool) {
+    fn gemm_lut(&self, a: &[f32], m: usize, out: &mut [f32], threads: usize, allow_avx2: bool) {
         let (k, n) = (self.k, self.n);
         let gs = self.group_size;
         let groups = k / gs;
@@ -791,7 +780,7 @@ impl AxCorePrepared {
                     });
                 }
             };
-            drive_lut(m, k, n, self.block_cols, out, mk_table, build, gather);
+            drive_lut(m, k, n, self.block_cols, threads, out, mk_table, build, gather);
         } else {
             let gather = |t: &AxLutTable, _i: usize, col0: usize, cols: &mut [f32]| {
                 if self.planes.is_packed() {
@@ -804,7 +793,7 @@ impl AxCorePrepared {
                     });
                 }
             };
-            drive_lut(m, k, n, self.block_cols, out, mk_table, build, gather);
+            drive_lut(m, k, n, self.block_cols, threads, out, mk_table, build, gather);
         }
     }
 
@@ -1215,7 +1204,7 @@ mod tests {
         let q = GroupQuantizer::adaptive_fp4(64, 4, None).quantize(&wf, k, n);
         let a = toy_acts(m, k);
         let mut out = vec![0f32; m * n];
-        AxCoreEngine::new(FP16).gemm(&a, m, &q, &mut out);
+        AxCoreEngine::new(FP16).try_gemm(&a, m, &q, &mut out).expect("gemm");
 
         let wq = q.dequant_all();
         let mut reference = vec![0f64; m * n];
@@ -1250,7 +1239,7 @@ mod tests {
         let sig: f64 = reference.iter().map(|x| x * x).sum();
         let snr_of = |cfg: AxCoreConfig| {
             let mut out = vec![0f32; m * n];
-            AxCoreEngine::with_config(FP16, cfg).gemm(&a, m, &q, &mut out);
+            AxCoreEngine::with_config(FP16, cfg).try_gemm(&a, m, &q, &mut out).expect("gemm");
             let noise: f64 = reference
                 .iter()
                 .zip(&out)
@@ -1281,7 +1270,7 @@ mod tests {
         reference_gemm(&a, m, &wq, k, n, &mut reference);
         let stats_of = |cfg: AxCoreConfig| {
             let mut out = vec![0f32; m * n];
-            AxCoreEngine::with_config(FP16, cfg).gemm(&a, m, &q, &mut out);
+            AxCoreEngine::with_config(FP16, cfg).try_gemm(&a, m, &q, &mut out).expect("gemm");
             let rels: Vec<f64> = reference
                 .iter()
                 .zip(&out)
@@ -1307,7 +1296,7 @@ mod tests {
         let q = GroupQuantizer::fixed(QuantFormat::E2M1, 32).quantize(&toy_weights(k, n), k, n);
         let a = vec![0f32; m * k];
         let mut out = vec![1f32; m * n];
-        AxCoreEngine::new(FP16).gemm(&a, m, &q, &mut out);
+        AxCoreEngine::new(FP16).try_gemm(&a, m, &q, &mut out).expect("gemm");
         assert!(out.iter().all(|&x| x == 0.0));
     }
 
@@ -1317,7 +1306,7 @@ mod tests {
         let q = GroupQuantizer::fixed(QuantFormat::E2M1, 32).quantize(&vec![0f32; k * n], k, n);
         let a = toy_acts(m, k);
         let mut out = vec![1f32; m * n];
-        AxCoreEngine::new(FP16).gemm(&a, m, &q, &mut out);
+        AxCoreEngine::new(FP16).try_gemm(&a, m, &q, &mut out).expect("gemm");
         assert!(out.iter().all(|&x| x == 0.0));
     }
 
@@ -1331,8 +1320,8 @@ mod tests {
         let a2: Vec<f32> = a.iter().map(|x| x * 2.0).collect();
         let (mut o1, mut o2) = (vec![0f32; n], vec![0f32; n]);
         let eng = AxCoreEngine::with_config(FP16, AxCoreConfig::without_stochastic_rounding());
-        eng.gemm(&a, m, &q, &mut o1);
-        eng.gemm(&a2, m, &q, &mut o2);
+        eng.try_gemm(&a, m, &q, &mut o1).expect("gemm");
+        eng.try_gemm(&a2, m, &q, &mut o2).expect("gemm");
         for j in 0..n {
             let rel = (o2[j] - 2.0 * o1[j]).abs() / o1[j].abs().max(1e-6);
             assert!(rel < 1e-3, "col {j}: {} vs 2×{}", o2[j], o1[j]);
@@ -1341,7 +1330,7 @@ mod tests {
 
     #[test]
     fn lut_tier_is_bit_identical_to_direct() {
-        use crate::engines::{with_lut_policy, LutPolicy};
+        use axcore_parallel::{current_exec, with_exec, ExecConfig};
         // Adaptive FP4 mixes per-block formats, so the LUT table spans
         // several units with distinct code spaces and tie behaviour.
         let (m, k, n) = (3, 128, 16);
@@ -1351,8 +1340,9 @@ mod tests {
         a[k + 9] = 6.1e-5; // FP16 subnormal range
         let p = AxCoreEngine::new(FP16).preload(&q);
         let (mut direct, mut via_lut) = (vec![0f32; m * n], vec![0f32; m * n]);
-        with_lut_policy(LutPolicy::Never, || p.gemm(&a, m, &mut direct));
-        with_lut_policy(LutPolicy::Always, || p.gemm(&a, m, &mut via_lut));
+        let pin = |lut| ExecConfig { lut, ..current_exec() };
+        with_exec(pin(LutPolicy::Never), || p.try_gemm(&a, m, &mut direct).expect("gemm"));
+        with_exec(pin(LutPolicy::Always), || p.try_gemm(&a, m, &mut via_lut).expect("gemm"));
         assert_eq!(
             direct.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             via_lut.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -1361,7 +1351,7 @@ mod tests {
 
     #[test]
     fn packed_and_byte_plane_gathers_are_bit_identical() {
-        use crate::engines::{with_lut_policy, LutPolicy};
+        use axcore_parallel::{current_exec, with_exec, ExecConfig};
         let (m, k, n) = (2, 128, 16);
         let q = GroupQuantizer::adaptive_fp4(64, 4, None).quantize(&toy_weights(k, n), k, n);
         let a = toy_acts(m, k);
@@ -1370,9 +1360,9 @@ mod tests {
         assert!(packed.planes.is_packed());
         assert!(!bytes.planes.is_packed());
         let (mut o1, mut o2) = (vec![0f32; m * n], vec![0f32; m * n]);
-        with_lut_policy(LutPolicy::Always, || {
-            packed.gemm(&a, m, &mut o1);
-            bytes.gemm(&a, m, &mut o2);
+        with_exec(ExecConfig { lut: LutPolicy::Always, ..current_exec() }, || {
+            packed.try_gemm(&a, m, &mut o1).expect("gemm");
+            bytes.try_gemm(&a, m, &mut o2).expect("gemm");
         });
         assert_eq!(
             o1.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -1386,7 +1376,7 @@ mod tests {
         let (k, n) = (32, 2);
         let q = GroupQuantizer::fixed(QuantFormat::INT4, 32).quantize(&toy_weights(k, n), k, n);
         let mut out = vec![0f32; n];
-        AxCoreEngine::new(FP16).gemm(&vec![1.0; k], 1, &q, &mut out);
+        AxCoreEngine::new(FP16).try_gemm(&vec![1.0; k], 1, &q, &mut out).unwrap_or_else(|e| panic!("{e}"));
     }
 
     #[test]

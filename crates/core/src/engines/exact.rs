@@ -5,7 +5,7 @@
 //! are dequantized to the activation format first, then multiplied exactly.
 
 use crate::engines::prepared::{drive, run_ladder, Ladder};
-use crate::engines::{check_shapes, GemmEngine, PreparedGemm};
+use crate::engines::{GemmEngine, PreparedGemm};
 use crate::error::GemmError;
 use crate::reliability::{self, Verifier};
 use axcore_parallel::{arena, Tier};
@@ -38,17 +38,6 @@ impl ExactEngine {
 impl GemmEngine for ExactEngine {
     fn name(&self) -> String {
         format!("FPC-{}", self.act.name)
-    }
-
-    fn try_gemm(
-        &self,
-        a: &[f32],
-        m: usize,
-        w: &QuantizedMatrix,
-        out: &mut [f32],
-    ) -> Result<(), GemmError> {
-        check_shapes(a, m, w, out)?;
-        self.preload(w).try_gemm(a, m, out)
     }
 
     fn try_prepare(&self, w: &QuantizedMatrix) -> Result<Box<dyn PreparedGemm>, GemmError> {
@@ -149,22 +138,22 @@ impl Ladder for ExactPrepared {
         state_checksum(&self.wr) == self.state_sum
     }
 
-    fn run(&self, _tier: Tier, a: &[f32], m: usize, out: &mut [f32]) {
-        self.gemm_direct(a, m, out);
+    fn run(&self, _tier: Tier, a: &[f32], m: usize, out: &mut [f32], threads: usize) {
+        self.gemm_direct(a, m, out, threads);
     }
 
     fn recover(&self, a: &[f32], m: usize, out: &mut [f32]) -> Result<(), GemmError> {
-        ExactEngine::new(self.act).preload(self.verifier.pristine()).gemm_direct(a, m, out);
+        ExactEngine::new(self.act).preload(self.verifier.pristine()).gemm_direct(a, m, out, 1);
         Ok(())
     }
 }
 
 impl ExactPrepared {
     /// The direct path, the engine's only rung.
-    fn gemm_direct(&self, a: &[f32], m: usize, out: &mut [f32]) {
+    fn gemm_direct(&self, a: &[f32], m: usize, out: &mut [f32], threads: usize) {
         let (k, n) = (self.k, self.n);
         let mk = || ExactScratch { row: usize::MAX, arow: arena::take(k, 0f64) };
-        drive(m, k, n, 1, out, mk, |s: &mut ExactScratch, i, col0, cols| {
+        drive(m, k, n, 1, threads, out, mk, |s: &mut ExactScratch, i, col0, cols| {
             if s.row != i {
                 // Quantize the activation row to the core's input format,
                 // once per row per worker.
@@ -201,7 +190,7 @@ mod tests {
         let q = GroupQuantizer::fixed(QuantFormat::E2M1, 32).quantize(&w, k, n);
         let a: Vec<f32> = (0..m * k).map(|i| [1.0f32, -0.5][i % 2]).collect();
         let mut out = vec![0f32; m * n];
-        ExactEngine::new(FP16).gemm(&a, m, &q, &mut out);
+        ExactEngine::new(FP16).try_gemm(&a, m, &q, &mut out).expect("gemm");
         // Reference in f64.
         for i in 0..m {
             for c in 0..n {
@@ -220,7 +209,7 @@ mod tests {
         let w: Vec<f32> = (0..k * n).map(|i| (i as f32 - 30.0) * 0.01).collect();
         let q = GroupQuantizer::fixed(QuantFormat::INT4, 32).quantize(&w, k, n);
         let mut out = vec![0f32; n];
-        ExactEngine::new(FP32).gemm(&vec![1.0f32; k], 1, &q, &mut out);
+        ExactEngine::new(FP32).try_gemm(&vec![1.0f32; k], 1, &q, &mut out).expect("gemm");
         let col0: f64 = (0..k).map(|kk| q.dequant(kk, 0)).sum();
         assert!((out[0] as f64 - col0).abs() < 1e-3);
     }

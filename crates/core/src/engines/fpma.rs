@@ -9,7 +9,7 @@
 
 use crate::engines::prepared::{drive, drive_lut, run_ladder, Ladder};
 use crate::engines::w4a8::W4a8Prep;
-use crate::engines::{check_shapes, lut, GemmEngine, PreparedGemm};
+use crate::engines::{lut, GemmEngine, LutPolicy, PreparedGemm};
 use crate::error::GemmError;
 use crate::reliability::{self, Verifier};
 use axcore_fpma::uniform::fpma_mul;
@@ -38,17 +38,6 @@ impl FpmaEngine {
 impl GemmEngine for FpmaEngine {
     fn name(&self) -> String {
         format!("FPMA-{}", self.act.name)
-    }
-
-    fn try_gemm(
-        &self,
-        a: &[f32],
-        m: usize,
-        w: &QuantizedMatrix,
-        out: &mut [f32],
-    ) -> Result<(), GemmError> {
-        check_shapes(a, m, w, out)?;
-        self.preload(w).try_gemm(a, m, out)
     }
 
     fn try_prepare(&self, w: &QuantizedMatrix) -> Result<Box<dyn PreparedGemm>, GemmError> {
@@ -200,8 +189,8 @@ impl Ladder for FpmaPrepared {
         self.w4a8.as_ref()
     }
 
-    fn lut_rungs(&self) -> &'static [Tier] {
-        if lut::use_lut(self.n, self.palette.len()) {
+    fn lut_rungs(&self, policy: LutPolicy) -> &'static [Tier] {
+        if lut::use_lut(policy, self.n, self.palette.len()) {
             &[Tier::SwarLut]
         } else {
             &[]
@@ -213,24 +202,24 @@ impl Ladder for FpmaPrepared {
         state_checksum(&self.wr, &self.palette, &self.pidx) == self.state_sum
     }
 
-    fn run(&self, tier: Tier, a: &[f32], m: usize, out: &mut [f32]) {
+    fn run(&self, tier: Tier, a: &[f32], m: usize, out: &mut [f32], threads: usize) {
         match tier {
-            Tier::SwarLut => self.gemm_lut(a, m, out),
-            _ => self.gemm_direct(a, m, out),
+            Tier::SwarLut => self.gemm_lut(a, m, out, threads),
+            _ => self.gemm_direct(a, m, out, threads),
         }
     }
 
     fn recover(&self, a: &[f32], m: usize, out: &mut [f32]) -> Result<(), GemmError> {
-        FpmaEngine::new(self.act).preload(self.verifier.pristine()).gemm_direct(a, m, out);
+        FpmaEngine::new(self.act).preload(self.verifier.pristine()).gemm_direct(a, m, out, 1);
         Ok(())
     }
 }
 
 impl FpmaPrepared {
-    fn gemm_direct(&self, a: &[f32], m: usize, out: &mut [f32]) {
+    fn gemm_direct(&self, a: &[f32], m: usize, out: &mut [f32], threads: usize) {
         let (k, n) = (self.k, self.n);
         let mk = || FpmaScratch { row: usize::MAX, arow: arena::take(k, 0u32) };
-        drive(m, k, n, 1, out, mk, |s: &mut FpmaScratch, i, col0, cols| {
+        drive(m, k, n, 1, threads, out, mk, |s: &mut FpmaScratch, i, col0, cols| {
             if s.row != i {
                 for (kk, &av) in a[i * k..(i + 1) * k].iter().enumerate() {
                     s.arow[kk] = self.act.encode(av as f64);
@@ -258,7 +247,7 @@ impl FpmaPrepared {
     /// pattern) instead of per (element, column); the column loop gathers
     /// products by palette index and runs the identical format-width add
     /// chain, so results are bit-identical to the direct path.
-    fn gemm_lut(&self, a: &[f32], m: usize, out: &mut [f32]) {
+    fn gemm_lut(&self, a: &[f32], m: usize, out: &mut [f32], threads: usize) {
         let (k, n) = (self.k, self.n);
         let np = self.palette.len();
         let mk_table =
@@ -291,7 +280,7 @@ impl FpmaPrepared {
                 *o = self.acc_fmt.decode(acc_bits) as f32;
             }
         };
-        drive_lut(m, k, n, 1, out, mk_table, build, gather);
+        drive_lut(m, k, n, 1, threads, out, mk_table, build, gather);
     }
 }
 
@@ -311,8 +300,8 @@ mod tests {
         let q = GroupQuantizer::fixed(QuantFormat::E2M1, 64).quantize(&w, k, n);
         let a: Vec<f32> = (0..m * k).map(|i| (i * 53 % 97) as f32 / 48.0 - 1.0).collect();
         let (mut o_fpma, mut o_exact) = (vec![0f32; m * n], vec![0f32; m * n]);
-        FpmaEngine::new(FP16).gemm(&a, m, &q, &mut o_fpma);
-        ExactEngine::new(FP16).gemm(&a, m, &q, &mut o_exact);
+        FpmaEngine::new(FP16).try_gemm(&a, m, &q, &mut o_fpma).expect("gemm");
+        ExactEngine::new(FP16).try_gemm(&a, m, &q, &mut o_exact).expect("gemm");
         for j in 0..m * n {
             let rel = (o_fpma[j] - o_exact[j]).abs() / o_exact[j].abs().max(0.5);
             assert!(rel < 0.2, "elem {j}: {} vs {}", o_fpma[j], o_exact[j]);
@@ -323,7 +312,7 @@ mod tests {
 
     #[test]
     fn lut_tier_is_bit_identical_to_direct() {
-        use crate::engines::{with_lut_policy, LutPolicy};
+        use axcore_parallel::{current_exec, with_exec, ExecConfig};
         let (m, k, n) = (2, 96, 8);
         let w: Vec<f32> = (0..k * n)
             .map(|i| ((i * 41 % 113) as f32 / 56.0 - 1.0) * 0.4)
@@ -334,8 +323,9 @@ mod tests {
         let mut out_l = vec![0f32; m * n];
         a[3] = 0.0;
         let p = FpmaEngine::new(FP16).preload(&q);
-        with_lut_policy(LutPolicy::Never, || p.gemm(&a, m, &mut out_d));
-        with_lut_policy(LutPolicy::Always, || p.gemm(&a, m, &mut out_l));
+        let pin = |lut| ExecConfig { lut, ..current_exec() };
+        with_exec(pin(LutPolicy::Never), || p.try_gemm(&a, m, &mut out_d).expect("gemm"));
+        with_exec(pin(LutPolicy::Always), || p.try_gemm(&a, m, &mut out_l).expect("gemm"));
         assert_eq!(
             out_d.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             out_l.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -349,7 +339,7 @@ mod tests {
         let q = GroupQuantizer::fixed(QuantFormat::E2M1, 32).quantize(&w, k, n);
         let a = vec![2.0f32; k];
         let mut out = vec![0f32; 1];
-        FpmaEngine::new(FP16).gemm(&a, 1, &q, &mut out);
+        FpmaEngine::new(FP16).try_gemm(&a, 1, &q, &mut out).expect("gemm");
         assert_eq!(out[0], 32.0);
     }
 }

@@ -10,7 +10,7 @@
 
 use crate::engines::prepared::{drive, drive_lut, run_ladder, Ladder};
 use crate::engines::w4a8::W4a8Prep;
-use crate::engines::{check_shapes, lut, GemmEngine, PreparedGemm};
+use crate::engines::{lut, GemmEngine, LutPolicy, PreparedGemm};
 use crate::error::GemmError;
 use crate::reliability::{self, Verifier};
 use axcore_parallel::{arena, Tier};
@@ -192,8 +192,8 @@ impl Ladder for IntFpPrepared {
         self.w4a8.as_ref()
     }
 
-    fn lut_rungs(&self) -> &'static [Tier] {
-        if lut::use_lut(self.n, 2 * self.vmax as usize + 2) {
+    fn lut_rungs(&self, policy: LutPolicy) -> &'static [Tier] {
+        if lut::use_lut(policy, self.n, 2 * self.vmax as usize + 2) {
             &[Tier::SwarLut]
         } else {
             &[]
@@ -205,26 +205,26 @@ impl Ladder for IntFpPrepared {
         state_checksum(&self.dec, &self.scales, &self.planes) == self.state_sum
     }
 
-    fn run(&self, tier: Tier, a: &[f32], m: usize, out: &mut [f32]) {
+    fn run(&self, tier: Tier, a: &[f32], m: usize, out: &mut [f32], threads: usize) {
         match tier {
-            Tier::SwarLut => self.gemm_lut(a, m, out),
-            _ => self.gemm_direct(a, m, out),
+            Tier::SwarLut => self.gemm_lut(a, m, out, threads),
+            _ => self.gemm_direct(a, m, out, threads),
         }
     }
 
     fn recover(&self, a: &[f32], m: usize, out: &mut [f32]) -> Result<(), GemmError> {
-        try_int_fp_preload(self.act, self.verifier.pristine())?.gemm_direct(a, m, out);
+        try_int_fp_preload(self.act, self.verifier.pristine())?.gemm_direct(a, m, out, 1);
         Ok(())
     }
 }
 
 impl IntFpPrepared {
-    fn gemm_direct(&self, a: &[f32], m: usize, out: &mut [f32]) {
+    fn gemm_direct(&self, a: &[f32], m: usize, out: &mut [f32], threads: usize) {
         let (k, n) = (self.k, self.n);
         let gs = self.group_size;
         let groups = k / gs;
         let mk = || IntFpScratch { row: usize::MAX, arow: arena::take(k, 0f64) };
-        drive(m, k, n, 1, out, mk, |s: &mut IntFpScratch, i, col0, cols| {
+        drive(m, k, n, 1, threads, out, mk, |s: &mut IntFpScratch, i, col0, cols| {
             if s.row != i {
                 for (kk, &av) in a[i * k..(i + 1) * k].iter().enumerate() {
                     s.arow[kk] = self.act.quantize(av as f64);
@@ -255,7 +255,7 @@ impl IntFpPrepared {
     /// instead of per (element, column). The gathered entries are the
     /// exact `f64` products the direct path multiplies out, added in the
     /// same order, so results are bit-identical.
-    fn gemm_lut(&self, a: &[f32], m: usize, out: &mut [f32]) {
+    fn gemm_lut(&self, a: &[f32], m: usize, out: &mut [f32], threads: usize) {
         let (k, n) = (self.k, self.n);
         let gs = self.group_size;
         let groups = k / gs;
@@ -327,7 +327,7 @@ impl IntFpPrepared {
                 *o = acc;
             }
         };
-        drive_lut(m, k, n, 1, out, mk_table, build, gather);
+        drive_lut(m, k, n, 1, threads, out, mk_table, build, gather);
     }
 }
 
@@ -347,17 +347,6 @@ impl FignaEngine {
 impl GemmEngine for FignaEngine {
     fn name(&self) -> String {
         format!("FIGNA-{}", self.act.name)
-    }
-
-    fn try_gemm(
-        &self,
-        a: &[f32],
-        m: usize,
-        w: &QuantizedMatrix,
-        out: &mut [f32],
-    ) -> Result<(), GemmError> {
-        check_shapes(a, m, w, out)?;
-        try_int_fp_preload(self.act, w)?.try_gemm(a, m, out)
     }
 
     fn try_prepare(&self, w: &QuantizedMatrix) -> Result<Box<dyn PreparedGemm>, GemmError> {
@@ -384,17 +373,6 @@ impl GemmEngine for FiglutEngine {
         format!("FIGLUT-{}", self.act.name)
     }
 
-    fn try_gemm(
-        &self,
-        a: &[f32],
-        m: usize,
-        w: &QuantizedMatrix,
-        out: &mut [f32],
-    ) -> Result<(), GemmError> {
-        check_shapes(a, m, w, out)?;
-        try_int_fp_preload(self.act, w)?.try_gemm(a, m, out)
-    }
-
     fn try_prepare(&self, w: &QuantizedMatrix) -> Result<Box<dyn PreparedGemm>, GemmError> {
         Ok(Box::new(try_int_fp_preload(self.act, w)?))
     }
@@ -414,7 +392,7 @@ mod tests {
         let q = GroupQuantizer::fixed(QuantFormat::INT4, 32).quantize(&w, k, n);
         let a: Vec<f32> = (0..m * k).map(|i| FP16.quantize(((i * 29 % 83) as f32 / 40.0 - 1.0) as f64) as f32).collect();
         let mut out = vec![0f32; m * n];
-        FignaEngine::new(FP16).gemm(&a, m, &q, &mut out);
+        FignaEngine::new(FP16).try_gemm(&a, m, &q, &mut out).expect("gemm");
         let wq = q.dequant_all();
         let mut reference = vec![0f64; m * n];
         reference_gemm(&a, m, &wq, k, n, &mut reference);
@@ -431,14 +409,14 @@ mod tests {
         let q = GroupQuantizer::fixed(QuantFormat::INT4, 32).quantize(&w, k, n);
         let a: Vec<f32> = (0..m * k).map(|i| (i as f32 * 0.7).cos()).collect();
         let (mut o1, mut o2) = (vec![0f32; m * n], vec![0f32; m * n]);
-        FignaEngine::new(FP16).gemm(&a, m, &q, &mut o1);
-        FiglutEngine::new(FP16).gemm(&a, m, &q, &mut o2);
+        FignaEngine::new(FP16).try_gemm(&a, m, &q, &mut o1).expect("gemm");
+        FiglutEngine::new(FP16).try_gemm(&a, m, &q, &mut o2).expect("gemm");
         assert_eq!(o1, o2);
     }
 
     #[test]
     fn lut_tier_is_bit_identical_to_direct() {
-        use crate::engines::{with_lut_policy, LutPolicy};
+        use axcore_parallel::{current_exec, with_exec, ExecConfig};
         for fmt in [QuantFormat::INT4, QuantFormat::INT8] {
             let (m, k, n) = (2, 64, 8);
             let w: Vec<f32> = (0..k * n).map(|i| ((i * 91 % 181) as f32 / 90.0 - 1.0) * 0.3).collect();
@@ -448,8 +426,9 @@ mod tests {
             let p = try_int_fp_preload(FP16, &q).unwrap();
             let mut out_d = vec![0f32; m * n];
             let mut out_l = vec![0f32; m * n];
-            with_lut_policy(LutPolicy::Never, || p.gemm(&a, m, &mut out_d));
-            with_lut_policy(LutPolicy::Always, || p.gemm(&a, m, &mut out_l));
+            let pin = |lut| ExecConfig { lut, ..current_exec() };
+            with_exec(pin(LutPolicy::Never), || p.try_gemm(&a, m, &mut out_d).expect("gemm"));
+            with_exec(pin(LutPolicy::Always), || p.try_gemm(&a, m, &mut out_l).expect("gemm"));
             assert_eq!(
                 out_d.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 out_l.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -464,6 +443,6 @@ mod tests {
         let (k, n) = (32, 2);
         let q = GroupQuantizer::fixed(QuantFormat::E2M1, 32).quantize(&vec![0.1; k * n], k, n);
         let mut out = vec![0f32; n];
-        FignaEngine::new(FP16).gemm(&vec![1.0; k], 1, &q, &mut out);
+        FignaEngine::new(FP16).try_gemm(&vec![1.0; k], 1, &q, &mut out).unwrap_or_else(|e| panic!("{e}"));
     }
 }

@@ -9,74 +9,19 @@
 //! construction; choosing it is purely a performance decision.
 //!
 //! The decision is made **once per `gemm` call on the calling thread**,
-//! from the output shape and the per-element table width alone — never
-//! from the thread count — so the chosen path (and therefore all observed
-//! behaviour) is reproducible at any parallelism. Pool workers never read
-//! this module's thread-local override: the caller resolves the policy
-//! before fanning out, and the workers only see the already-chosen kernel.
+//! from the call's [`LutPolicy`] (the `lut` field of the
+//! [`ExecConfig`](axcore_parallel::ExecConfig) the ladder driver reads),
+//! the output shape and the per-element table width alone — never from
+//! the thread count — so the chosen path (and therefore all observed
+//! behaviour) is reproducible at any parallelism. Pool workers only see
+//! the already-chosen kernel.
 //!
 //! The tables themselves live in [`axcore_parallel::arena`] buffers, so in
 //! pooled steady state a decode call pays only the table *build* cost —
 //! the (re)allocation and zeroing of the table storage happen once per
 //! thread per shape, not once per call.
 
-use std::cell::Cell;
-use std::sync::OnceLock;
-
-/// Per-call choice of the LUT execution tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LutPolicy {
-    /// The shape heuristic decides (the default).
-    #[default]
-    Auto,
-    /// Force the LUT tier regardless of shape (exactness tests, benches).
-    Always,
-    /// Force the direct per-MAC path.
-    Never,
-}
-
-thread_local! {
-    /// Override installed by [`with_lut_policy`] on this thread.
-    static OVERRIDE: Cell<Option<LutPolicy>> = const { Cell::new(None) };
-}
-
-/// Process-wide default from the `AXCORE_LUT` environment variable
-/// (`always` / `never` / `auto`; unset or unrecognized = auto, the
-/// latter with a warning).
-fn env_policy() -> LutPolicy {
-    static ENV: OnceLock<LutPolicy> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        axcore_parallel::env::parse("AXCORE_LUT", "auto|always|never", |s| {
-            match s.to_ascii_lowercase().as_str() {
-                "always" => Some(LutPolicy::Always),
-                "never" => Some(LutPolicy::Never),
-                "auto" | "" => Some(LutPolicy::Auto),
-                _ => None,
-            }
-        })
-        .unwrap_or(LutPolicy::Auto)
-    })
-}
-
-/// The LUT policy in effect on the current thread.
-pub fn current_lut_policy() -> LutPolicy {
-    OVERRIDE.with(|o| o.get()).unwrap_or_else(env_policy)
-}
-
-/// Run `f` with the LUT policy pinned on this thread (restored on exit,
-/// including on panic). Engines resolve the policy before fanning work
-/// out to the pool, so pinning the calling thread governs the whole call.
-pub fn with_lut_policy<R>(policy: LutPolicy, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<LutPolicy>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            OVERRIDE.with(|o| o.set(self.0));
-        }
-    }
-    let prev = OVERRIDE.with(|o| o.replace(Some(policy)));
-    let _restore = Restore(prev);
-    f()
-}
+pub use axcore_parallel::LutPolicy;
 
 /// How many gather columns each table entry must serve before the build
 /// cost amortizes. A table entry costs roughly one direct MAC to build
@@ -87,12 +32,12 @@ pub fn with_lut_policy<R>(policy: LutPolicy, f: impl FnOnce() -> R) -> R {
 /// and FP8's 256-wide tables fall back to the direct path).
 const AMORTIZE_FACTOR: usize = 4;
 
-/// Decide LUT vs direct for one prepared-GEMM call. `entries_per_k` is
-/// the per-activation-element table width: `units × code space` for
-/// AxCore, the dequantized-weight palette size for FPMA, the code space
-/// for the INT-FP engines.
-pub(crate) fn use_lut(n: usize, entries_per_k: usize) -> bool {
-    match current_lut_policy() {
+/// Decide LUT vs direct for one prepared-GEMM call under `policy`.
+/// `entries_per_k` is the per-activation-element table width: `units ×
+/// code space` for AxCore, the dequantized-weight palette size for FPMA,
+/// the code space for the INT-FP engines.
+pub(crate) fn use_lut(policy: LutPolicy, n: usize, entries_per_k: usize) -> bool {
+    match policy {
         LutPolicy::Always => true,
         LutPolicy::Never => false,
         LutPolicy::Auto => entries_per_k > 0 && n >= AMORTIZE_FACTOR * entries_per_k,
@@ -105,25 +50,29 @@ mod tests {
 
     #[test]
     fn auto_requires_amortization() {
-        with_lut_policy(LutPolicy::Auto, || {
-            assert!(use_lut(512, 48)); // decode shape, FP4 tables
-            assert!(!use_lut(512, 256)); // FP8 table too wide for n
-            assert!(!use_lut(8, 16)); // tiny-n layer call
-            assert!(!use_lut(512, 0)); // degenerate table
-        });
+        assert!(use_lut(LutPolicy::Auto, 512, 48)); // decode shape, FP4 tables
+        assert!(!use_lut(LutPolicy::Auto, 512, 256)); // FP8 table too wide for n
+        assert!(!use_lut(LutPolicy::Auto, 8, 16)); // tiny-n layer call
+        assert!(!use_lut(LutPolicy::Auto, 512, 0)); // degenerate table
+        // The forces ignore the shape.
+        assert!(use_lut(LutPolicy::Always, 1, 1 << 20));
+        assert!(!use_lut(LutPolicy::Never, 1 << 20, 1));
     }
 
+    /// A `with_exec` scope pins the LUT field, nests, and restores; the
+    /// call decision follows the pinned policy.
     #[test]
     fn overrides_pin_and_restore() {
-        let outer = current_lut_policy();
-        with_lut_policy(LutPolicy::Always, || {
-            assert!(use_lut(1, 1 << 20));
-            with_lut_policy(LutPolicy::Never, || {
-                assert!(!use_lut(1 << 20, 1));
-                assert_eq!(current_lut_policy(), LutPolicy::Never);
+        use axcore_parallel::{current_exec, with_exec, ExecConfig};
+        let outer = current_exec();
+        with_exec(ExecConfig { lut: LutPolicy::Always, ..outer }, || {
+            assert!(use_lut(current_exec().lut, 1, 1 << 20));
+            with_exec(ExecConfig { lut: LutPolicy::Never, ..current_exec() }, || {
+                assert!(!use_lut(current_exec().lut, 1 << 20, 1));
+                assert_eq!(current_exec().lut, LutPolicy::Never);
             });
-            assert_eq!(current_lut_policy(), LutPolicy::Always);
+            assert_eq!(current_exec().lut, LutPolicy::Always);
         });
-        assert_eq!(current_lut_policy(), outer);
+        assert_eq!(current_exec(), outer);
     }
 }

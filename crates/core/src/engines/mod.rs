@@ -21,12 +21,12 @@ mod prepared;
 mod tender;
 mod w4a8;
 
-pub use act::{auto_engages, current_act_policy, with_act_policy, ActPolicy};
+pub use act::{auto_engages, with_act_policy, ActPolicy};
 pub use axcore::{AxCoreConfig, AxCoreEngine};
 pub use exact::ExactEngine;
 pub use fpma::FpmaEngine;
 pub use int_fp::{FignaEngine, FiglutEngine};
-pub use lut::{current_lut_policy, with_lut_policy, LutPolicy};
+pub use lut::LutPolicy;
 pub use prepared::PreparedGemm;
 pub use tender::TenderEngine;
 
@@ -38,42 +38,34 @@ use axcore_quant::QuantizedMatrix;
 /// matrix. Results overwrite `out` (`m × n`, row-major).
 ///
 /// Callers that reuse a weight matrix across calls (every linear layer
-/// during inference) should [`prepare`](GemmEngine::prepare) it once and
-/// run [`PreparedGemm::gemm`] per activation tile; `gemm` itself rebuilds
-/// the prepared state on every call.
+/// during inference) should [`try_prepare`](GemmEngine::try_prepare) it
+/// once and run [`PreparedGemm::try_gemm`] per activation tile;
+/// [`try_gemm`](GemmEngine::try_gemm) rebuilds the prepared state on
+/// every call.
 pub trait GemmEngine: std::fmt::Debug + Send + Sync {
     /// Human-readable engine name (used in reports and figures).
     fn name(&self) -> String;
 
+    /// Preload a weight matrix into this engine's stationary form — the
+    /// systolic weight-preload phase — reporting weight-format problems
+    /// as a [`GemmError`].
+    fn try_prepare(&self, w: &QuantizedMatrix) -> Result<Box<dyn PreparedGemm>, GemmError>;
+
     /// Perform the multiplication, reporting shape and weight-format
-    /// problems as a [`GemmError`] instead of panicking.
+    /// problems as a [`GemmError`] instead of panicking: the shapes are
+    /// checked, then `w` is prepared and run once.
     fn try_gemm(
         &self,
         a: &[f32],
         m: usize,
         w: &QuantizedMatrix,
         out: &mut [f32],
-    ) -> Result<(), GemmError>;
-
-    /// Perform the multiplication.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.len() != m * w.k`, `out.len() != m * w.n`, or the
-    /// weight format kind is unsupported (e.g. INT weights passed to an
-    /// FP-only engine). This is a thin shim over
-    /// [`try_gemm`](GemmEngine::try_gemm) that panics with the error's
-    /// `Display` text; new call sites should prefer `try_gemm`.
-    fn gemm(&self, a: &[f32], m: usize, w: &QuantizedMatrix, out: &mut [f32]) {
-        self.try_gemm(a, m, w, out).unwrap_or_else(|e| panic!("{e}"))
+    ) -> Result<(), GemmError> {
+        prepared::check_prepared_shapes(a, m, w.k, w.n, out)?;
+        self.try_prepare(w)?.try_gemm(a, m, out)
     }
 
-    /// Preload a weight matrix into this engine's stationary form,
-    /// reporting weight-format problems as a [`GemmError`].
-    fn try_prepare(&self, w: &QuantizedMatrix) -> Result<Box<dyn PreparedGemm>, GemmError>;
-
-    /// Preload a weight matrix into this engine's stationary form — the
-    /// systolic weight-preload phase.
+    /// Preload a weight matrix into this engine's stationary form.
     ///
     /// # Panics
     ///
@@ -81,13 +73,6 @@ pub trait GemmEngine: std::fmt::Debug + Send + Sync {
     /// (shim over [`try_prepare`](GemmEngine::try_prepare)).
     fn prepare(&self, w: &QuantizedMatrix) -> Box<dyn PreparedGemm> {
         self.try_prepare(w).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Multiply against previously [`prepare`](GemmEngine::prepare)d
-    /// weights. Equivalent to `p.gemm(a, m, out)`; provided for callers
-    /// generic over the engine.
-    fn gemm_prepared(&self, p: &dyn PreparedGemm, a: &[f32], m: usize, out: &mut [f32]) {
-        p.gemm(a, m, out);
     }
 
     /// Multiply against prepared weights, reporting shape problems and
@@ -103,16 +88,6 @@ pub trait GemmEngine: std::fmt::Debug + Send + Sync {
     ) -> Result<(), GemmError> {
         p.try_gemm(a, m, out)
     }
-}
-
-/// Validate GEMM buffer shapes (shared by all engine implementations).
-pub(crate) fn check_shapes(
-    a: &[f32],
-    m: usize,
-    w: &QuantizedMatrix,
-    out: &[f32],
-) -> Result<(), GemmError> {
-    prepared::check_prepared_shapes(a, m, w.k, w.n, out)
 }
 
 /// Reference double-precision GEMM against a dense `f32` weight matrix

@@ -1,6 +1,6 @@
 //! Prepared-weight GEMM execution: the weight-preload phase of the
-//! systolic schedule, factored out of [`GemmEngine::gemm`] so it runs
-//! once per weight matrix instead of once per call.
+//! systolic schedule, factored out of [`GemmEngine::try_gemm`] so it
+//! runs once per weight matrix instead of once per call.
 //!
 //! In the hardware, weights are loaded into the array once and stay
 //! stationary while many activation tiles stream past (prefill batches,
@@ -8,9 +8,9 @@
 //! previously rebuilt all weight-derived state — mpFPMA units, decoded
 //! [`WeightLane`]s, dequantized weight copies — inside every `gemm`
 //! call, which dominates the cost of decode-shaped (`m = 1`) GEMMs.
-//! [`GemmEngine::prepare`] now returns a [`PreparedGemm`] object holding
+//! [`GemmEngine::try_prepare`] returns a [`PreparedGemm`] object holding
 //! exactly that state; callers that reuse a weight matrix hold on to it
-//! and call [`PreparedGemm::gemm`] per activation tile.
+//! and call [`PreparedGemm::try_gemm`] per activation tile.
 //!
 //! # Parallel execution and determinism
 //!
@@ -43,25 +43,28 @@
 //! run a rung, how to recover from the pristine matrix) and the driver
 //! walks the tier ladder W4A8 → AVX2-LUT → SWAR-LUT → direct with
 //! quarantine, panic containment, ABFT and a published
-//! [`axcore_parallel::ExecReport`] (DESIGN.md §7).
+//! [`axcore_parallel::ExecReport`] (DESIGN.md §7). The driver reads the
+//! call's [`ExecConfig`](axcore_parallel::ExecConfig) once and passes
+//! its fields down: the LUT and W4A8 policies pick the rungs, the verify
+//! policy the checks, the thread count the shard plan.
 //!
 //! [`WeightLane`]: crate::pe::WeightLane
-//! [`GemmEngine::gemm`]: crate::engines::GemmEngine::gemm
-//! [`GemmEngine::prepare`]: crate::engines::GemmEngine::prepare
+//! [`GemmEngine::try_gemm`]: crate::engines::GemmEngine::try_gemm
+//! [`GemmEngine::try_prepare`]: crate::engines::GemmEngine::try_prepare
 
-use crate::engines::act;
 use crate::engines::w4a8::W4a8Prep;
+use crate::engines::{act, LutPolicy};
 use crate::error::GemmError;
 use crate::reliability::Verifier;
 use axcore_parallel::{health, FailReason, Tier};
 
 /// A weight matrix preloaded into one engine's stationary form.
 ///
-/// Created by [`GemmEngine::prepare`]; all weight-only preprocessing
+/// Created by [`GemmEngine::try_prepare`]; all weight-only preprocessing
 /// (format-unit construction, lane decoding, dequantization) happened at
-/// creation time, so [`PreparedGemm::gemm`] only streams activations.
+/// creation time, so [`PreparedGemm::try_gemm`] only streams activations.
 ///
-/// [`GemmEngine::prepare`]: crate::engines::GemmEngine::prepare
+/// [`GemmEngine::try_prepare`]: crate::engines::GemmEngine::try_prepare
 pub trait PreparedGemm: std::fmt::Debug + Send + Sync {
     /// Input-channel (accumulation) dimension of the prepared weights.
     fn k(&self) -> usize;
@@ -71,27 +74,13 @@ pub trait PreparedGemm: std::fmt::Debug + Send + Sync {
 
     /// Multiply an `m × k` activation tile against the prepared weights,
     /// overwriting `out` (`m × n`, row-major), reporting shape problems
-    /// (and unrecoverable execution failures) as a [`GemmError`]. When
-    /// verification is active (see [`crate::reliability::VerifyPolicy`]),
-    /// a healthy call's output stays bit-identical to the owning
-    /// engine's [`GemmEngine::gemm`] on the same matrix.
+    /// (and unrecoverable execution failures) as a [`GemmError`]. The
+    /// output is bit-identical to the owning engine's
+    /// [`GemmEngine::try_gemm`] on the same matrix, and stays so when
+    /// verification is active (see [`crate::reliability::VerifyPolicy`]).
     ///
-    /// [`GemmEngine::gemm`]: crate::engines::GemmEngine::gemm
+    /// [`GemmEngine::try_gemm`]: crate::engines::GemmEngine::try_gemm
     fn try_gemm(&self, a: &[f32], m: usize, out: &mut [f32]) -> Result<(), GemmError>;
-
-    /// Multiply an `m × k` activation tile against the prepared weights,
-    /// overwriting `out` (`m × n`, row-major). Bit-identical to the
-    /// owning engine's [`GemmEngine::gemm`] on the same matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.len() != m * self.k()` or `out.len() != m * self.n()`
-    /// (shim over [`try_gemm`](PreparedGemm::try_gemm)).
-    ///
-    /// [`GemmEngine::gemm`]: crate::engines::GemmEngine::gemm
-    fn gemm(&self, a: &[f32], m: usize, out: &mut [f32]) {
-        self.try_gemm(a, m, out).unwrap_or_else(|e| panic!("{e}"))
-    }
 
     /// Named at-rest fault-injection surfaces of this prepared state
     /// (empty when the engine exposes none).
@@ -146,11 +135,6 @@ pub(super) fn check_prepared_shapes(
     Ok(())
 }
 
-/// GEMMs below this many MACs run serially: thread spawns would dominate.
-/// The cutover is purely a scheduling decision — results are bit-identical
-/// either way.
-const MIN_PARALLEL_MACS: usize = 32 * 1024;
-
 /// Rows per activation panel in the sharded prefill loop: 32 rows of a
 /// `k ≤ 4096` activation keep the panel within ~512 KiB, so it stays
 /// cache-resident while a shard's weight tiles stream past it.
@@ -162,17 +146,19 @@ const PANEL_ROWS: usize = 32;
 /// from cache instead of DRAM once per panel rather than once per row.
 const TILE_COLS: usize = 64;
 
-/// How many worker shards a GEMM of this size should use: 1 (serial)
-/// below the MAC threshold or when the caller's thread budget is 1,
-/// otherwise a [`ShardPlan`](axcore_parallel::ShardPlan) over the
-/// current thread count.
-fn shard_plan(m: usize, k: usize, n: usize, col_align: usize) -> axcore_parallel::ShardPlan {
-    let threads = if (m * n).saturating_mul(k) < MIN_PARALLEL_MACS {
-        1
-    } else {
-        axcore_parallel::current_threads()
-    };
-    axcore_parallel::ShardPlan::new(n, threads, col_align)
+/// How many worker shards a GEMM of this size should use under a
+/// budget of `threads`: 1 (serial) below the parallel cut-off
+/// ([`axcore_parallel::threads_for`]) or when the budget is 1, otherwise
+/// a [`ShardPlan`](axcore_parallel::ShardPlan) over `threads`.
+fn shard_plan(
+    m: usize,
+    k: usize,
+    n: usize,
+    col_align: usize,
+    threads: usize,
+) -> axcore_parallel::ShardPlan {
+    let macs = (m * n).saturating_mul(k);
+    axcore_parallel::ShardPlan::new(n, axcore_parallel::threads_for(threads, macs), col_align)
 }
 
 /// Drive a per-element GEMM kernel over the output, sharded by columns.
@@ -196,11 +182,14 @@ fn shard_plan(m: usize, k: usize, n: usize, col_align: usize) -> axcore_parallel
 /// `k` is the accumulation depth, used only to size the work estimate:
 /// GEMMs too small to amortize a pool dispatch run serially
 /// (bit-identical either way, so the cutover is purely scheduling).
+/// `threads` is the call's worker budget.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn drive<S, MkS, F>(
     m: usize,
     k: usize,
     n: usize,
     col_align: usize,
+    threads: usize,
     out: &mut [f32],
     mk_scratch: MkS,
     kernel: F,
@@ -211,7 +200,7 @@ pub(crate) fn drive<S, MkS, F>(
     if m == 0 || n == 0 {
         return;
     }
-    let plan = shard_plan(m, k, n, col_align);
+    let plan = shard_plan(m, k, n, col_align, threads);
     if plan.num_shards() <= 1 {
         let mut s = mk_scratch();
         for (i, row_out) in out.chunks_mut(n).enumerate() {
@@ -263,6 +252,7 @@ pub(crate) fn drive_lut<T, MkT, B, G>(
     k: usize,
     n: usize,
     col_align: usize,
+    threads: usize,
     out: &mut [f32],
     mk_table: MkT,
     build: B,
@@ -276,7 +266,7 @@ pub(crate) fn drive_lut<T, MkT, B, G>(
     if m == 0 || n == 0 {
         return;
     }
-    let plan = shard_plan(m, k, n, col_align);
+    let plan = shard_plan(m, k, n, col_align, threads);
     if plan.num_shards() <= 1 {
         let mut table = mk_table();
         for (i, row_out) in out.chunks_mut(n).enumerate() {
@@ -314,12 +304,10 @@ pub(crate) trait Ladder: PreparedGemm {
         None
     }
 
-    /// The bit-exact LUT rungs (`Avx2Lut`, `SwarLut`) this call may use
-    /// above `Direct`, fastest first: the engine's [`lut::use_lut`]
-    /// decision and kernel eligibility, before quarantine.
-    ///
-    /// [`lut::use_lut`]: crate::engines::lut::use_lut
-    fn lut_rungs(&self) -> &'static [Tier] {
+    /// The bit-exact LUT rungs (`Avx2Lut`, `SwarLut`) a call under
+    /// `policy` may use above `Direct`, fastest first: the engine's
+    /// `lut::use_lut` decision and kernel eligibility, before quarantine.
+    fn lut_rungs(&self, _policy: LutPolicy) -> &'static [Tier] {
         &[]
     }
 
@@ -327,19 +315,21 @@ pub(crate) trait Ladder: PreparedGemm {
     /// matches its prepare-time checksum.
     fn state_ok(&self, tier: Tier) -> bool;
 
-    /// Execute bit-exact rung `tier` (a LUT rung or `Direct`).
-    fn run(&self, tier: Tier, a: &[f32], m: usize, out: &mut [f32]);
+    /// Execute bit-exact rung `tier` (a LUT rung or `Direct`) on up to
+    /// `threads` workers.
+    fn run(&self, tier: Tier, a: &[f32], m: usize, out: &mut [f32], threads: usize);
 
     /// Re-prepare from the pristine quantized matrix and run the direct
-    /// path.
+    /// path serially.
     fn recover(&self, a: &[f32], m: usize, out: &mut [f32]) -> Result<(), GemmError>;
 }
 
 /// The verified-execution driver every prepared engine's `try_gemm`
 /// runs: the graceful-degradation ladder of DESIGN.md §7.
 ///
-/// The ladder is W4A8 (when [`act::use_w4a8`] engages it on eligible
-/// weights) → the engine's [`Ladder::lut_rungs`] → `Direct`, minus
+/// The call's [`ExecConfig`](axcore_parallel::ExecConfig) is read once,
+/// here. The ladder is W4A8 (when `act::use_w4a8` engages it on
+/// eligible weights) → the engine's [`Ladder::lut_rungs`] → `Direct`, minus
 /// quarantined rungs; `Direct` is always last and never skipped. Each
 /// rung is tried in turn: at `Full` its at-rest state is proven before
 /// the GEMM runs, the GEMM runs under a panic guard (free on the success
@@ -363,13 +353,14 @@ pub(crate) fn run_ladder<L: Ladder>(
 
     let n = p.n();
     check_prepared_shapes(a, m, p.k(), n, out)?;
+    let exec = axcore_parallel::current_exec();
     let verifier = p.verifier();
-    let plan = verifier.plan();
+    let plan = verifier.plan(exec.verify);
     let w4a8 = p.w4a8();
-    let engage_w4a8 = act::use_w4a8(w4a8.is_some(), m, n).then_some(Tier::W4a8);
+    let engage_w4a8 = act::use_w4a8(exec.act, w4a8.is_some(), m, n).then_some(Tier::W4a8);
     let mut rungs = [Tier::Direct; 4];
     let mut len = 0;
-    for tier in engage_w4a8.into_iter().chain(p.lut_rungs().iter().copied()) {
+    for tier in engage_w4a8.into_iter().chain(p.lut_rungs(exec.lut).iter().copied()) {
         if !health::is_quarantined(tier) {
             rungs[len] = tier;
             len += 1;
@@ -387,8 +378,8 @@ pub(crate) fn run_ladder<L: Ladder>(
         };
         let mut ran_ok = || {
             catch_unwind(AssertUnwindSafe(|| match (tier, w4a8) {
-                (Tier::W4a8, Some(w)) => w.gemm(a, m, out),
-                _ => p.run(tier, a, m, out),
+                (Tier::W4a8, Some(w)) => w.gemm(a, m, out, exec.threads),
+                _ => p.run(tier, a, m, out, exec.threads),
             }))
             .is_ok()
         };
@@ -415,9 +406,7 @@ pub(crate) fn run_ladder<L: Ladder>(
     }
 
     // Every rung failed: the prepared state itself is suspect.
-    let rerun = catch_unwind(AssertUnwindSafe(|| {
-        axcore_parallel::with_threads(1, || p.recover(a, m, out))
-    }));
+    let rerun = catch_unwind(AssertUnwindSafe(|| p.recover(a, m, out)));
     match rerun {
         Ok(Ok(())) => {
             report.tier = Tier::Direct;
@@ -434,11 +423,9 @@ pub(crate) fn run_ladder<L: Ladder>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engines::{
-        with_act_policy, with_lut_policy, ActPolicy, FiglutEngine, FignaEngine, FpmaEngine,
-        GemmEngine, LutPolicy,
-    };
-    use crate::reliability::{with_verify_policy, VerifyPolicy};
+    use crate::engines::{ActPolicy, FiglutEngine, FignaEngine, FpmaEngine, GemmEngine, LutPolicy};
+    use crate::reliability::VerifyPolicy;
+    use axcore_parallel::{with_exec, ExecConfig};
     use axcore_quant::{GroupQuantizer, QuantFormat, QuantizedMatrix};
     use axcore_softfloat::FP16;
     use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -476,16 +463,9 @@ mod tests {
     ) -> (Vec<u32>, Option<health::ExecReport>) {
         let a = acts();
         let mut out = vec![f32::NAN; M * N];
+        let cfg = ExecConfig { threads: 1, lut, act, verify: VerifyPolicy::Full };
         let ((), report) = health::capture_report(|| {
-            axcore_parallel::with_threads(1, || {
-                with_act_policy(act, || {
-                    with_lut_policy(lut, || {
-                        with_verify_policy(VerifyPolicy::Full, || {
-                            p.try_gemm(&a, M, &mut out).unwrap_or_else(|e| panic!("{e}"))
-                        })
-                    })
-                })
-            })
+            with_exec(cfg, || p.try_gemm(&a, M, &mut out).unwrap_or_else(|e| panic!("{e}")))
         });
         (out.iter().map(|v| v.to_bits()).collect(), report)
     }
@@ -516,8 +496,8 @@ mod tests {
         health::reset();
     }
 
-    /// A quarantined SWAR-LUT rung (the serve controller's overload level
-    /// 3) sends every LUT engine to the direct rung, with the same bits.
+    /// A quarantined SWAR-LUT rung sends every LUT engine to the direct
+    /// rung, with the same bits.
     #[test]
     fn lut_quarantine_is_honoured_by_every_engine() {
         let _g = health_guard();

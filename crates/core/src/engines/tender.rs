@@ -10,7 +10,7 @@
 //! quantizing the *activations*, which this model reproduces.
 
 use crate::engines::prepared::{drive, run_ladder, Ladder};
-use crate::engines::{check_shapes, GemmEngine, PreparedGemm};
+use crate::engines::{GemmEngine, PreparedGemm};
 use crate::error::GemmError;
 use crate::reliability::{self, Verifier};
 use axcore_parallel::{arena, Tier};
@@ -41,17 +41,6 @@ impl TenderEngine {
 impl GemmEngine for TenderEngine {
     fn name(&self) -> String {
         format!("Tender-A{}", self.act_bits)
-    }
-
-    fn try_gemm(
-        &self,
-        a: &[f32],
-        m: usize,
-        w: &QuantizedMatrix,
-        out: &mut [f32],
-    ) -> Result<(), GemmError> {
-        check_shapes(a, m, w, out)?;
-        self.try_preload(w)?.try_gemm(a, m, out)
     }
 
     fn try_prepare(&self, w: &QuantizedMatrix) -> Result<Box<dyn PreparedGemm>, GemmError> {
@@ -185,19 +174,19 @@ impl Ladder for TenderPrepared {
         state_checksum(&self.dec, &self.wscales) == self.state_sum
     }
 
-    fn run(&self, _tier: Tier, a: &[f32], m: usize, out: &mut [f32]) {
-        self.gemm_direct(a, m, out);
+    fn run(&self, _tier: Tier, a: &[f32], m: usize, out: &mut [f32], threads: usize) {
+        self.gemm_direct(a, m, out, threads);
     }
 
     fn recover(&self, a: &[f32], m: usize, out: &mut [f32]) -> Result<(), GemmError> {
-        self.engine.try_preload(self.verifier.pristine())?.gemm_direct(a, m, out);
+        self.engine.try_preload(self.verifier.pristine())?.gemm_direct(a, m, out, 1);
         Ok(())
     }
 }
 
 impl TenderPrepared {
     /// The direct path, the engine's only rung.
-    fn gemm_direct(&self, a: &[f32], m: usize, out: &mut [f32]) {
+    fn gemm_direct(&self, a: &[f32], m: usize, out: &mut [f32], threads: usize) {
         let (k, n) = (self.k, self.n);
         let gs = self.group_size;
         let groups = k / gs;
@@ -207,7 +196,7 @@ impl TenderPrepared {
             acodes: arena::take(k, 0i32),
             ascales: arena::take(self.chunks, 0f64),
         };
-        drive(m, k, n, 1, out, mk, |s: &mut TenderScratch, i, col0, cols| {
+        drive(m, k, n, 1, threads, out, mk, |s: &mut TenderScratch, i, col0, cols| {
             if s.row != i {
                 // Per-token, per-chunk symmetric activation quantization.
                 for ch in 0..self.chunks {
@@ -274,7 +263,7 @@ mod tests {
         let (m, k, n) = (2, 64, 4);
         let (a, q, reference) = setup(m, k, n);
         let mut out = vec![0f32; m * n];
-        TenderEngine::new(8, 4).gemm(&a, m, &q, &mut out);
+        TenderEngine::new(8, 4).try_gemm(&a, m, &q, &mut out).expect("gemm");
         for j in 0..m * n {
             let rel = (out[j] as f64 - reference[j]).abs() / reference[j].abs().max(0.5);
             assert!(rel < 0.05, "elem {j}: {} vs {}", out[j], reference[j]);
@@ -287,7 +276,7 @@ mod tests {
         let (a, q, reference) = setup(m, k, n);
         let err_of = |bits: u32| {
             let mut out = vec![0f32; m * n];
-            TenderEngine::new(bits, 4).gemm(&a, m, &q, &mut out);
+            TenderEngine::new(bits, 4).try_gemm(&a, m, &q, &mut out).expect("gemm");
             reference
                 .iter()
                 .zip(&out)
@@ -311,7 +300,7 @@ mod tests {
         reference_gemm(&a, m, &wq, k, n, &mut reference);
         let err_of = |chunks: usize| {
             let mut out = vec![0f32; m * n];
-            TenderEngine::new(4, chunks).gemm(&a, m, &q, &mut out);
+            TenderEngine::new(4, chunks).try_gemm(&a, m, &q, &mut out).expect("gemm");
             reference
                 .iter()
                 .zip(&out)

@@ -291,7 +291,7 @@ impl W4a8Prep {
     /// any remainder, so steady-state calls allocate nothing and every
     /// output element folds its own exact integer dots in one fixed
     /// order — bit-identical at any shard count.
-    pub(crate) fn gemm(&self, a: &[f32], m: usize, out: &mut [f32]) {
+    pub(crate) fn gemm(&self, a: &[f32], m: usize, out: &mut [f32], threads: usize) {
         let k = self.k;
         let blocks = k / Q8_BLOCK;
         // Rung choice, resolved once on the calling thread: the multiply
@@ -317,7 +317,7 @@ impl W4a8Prep {
             }
         });
         let (codes, scales, sums) = (&codes[..], &scales[..], &sums[..]);
-        drive(m, k, self.n, 8, out, || (), |_, row, col0, cols| {
+        drive(m, k, self.n, 8, threads, out, || (), |_, row, col0, cols| {
             let rb = row * blocks..(row + 1) * blocks;
             let act = Q8Act {
                 codes: &codes[row * k..(row + 1) * k],
@@ -409,7 +409,7 @@ mod tests {
         let prep = W4a8Prep::try_new(&q).expect("adaptive FP4 is eligible");
         let a = activations(11, m * k);
         let mut got = vec![0f32; m * n];
-        prep.gemm(&a, m, &mut got);
+        prep.gemm(&a, m, &mut got, axcore_parallel::current_threads());
         // Reference: FP dot against the dequantized weights. The W4A8
         // output differs only by the Q8 activation rounding, bounded per
         // element by the block-scale half-ulp.
@@ -440,8 +440,9 @@ mod tests {
         let a = activations(5, k);
         let mut mul = vec![0f32; n];
         let mut tbl = vec![0f32; n];
-        prep.gemm(&a, 1, &mut mul);
-        with_table_rung(|| prep.gemm(&a, 1, &mut tbl));
+        let threads = axcore_parallel::current_threads();
+        prep.gemm(&a, 1, &mut mul, threads);
+        with_table_rung(|| prep.gemm(&a, 1, &mut tbl, threads));
         assert_eq!(
             mul.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             tbl.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
@@ -528,7 +529,7 @@ mod tests {
             for workers in [1usize, 2, 4] {
                 let run = || {
                     let mut out = vec![f32::NAN; m * n];
-                    axcore_parallel::with_threads(workers, || prep.gemm(&a, m, &mut out));
+                    prep.gemm(&a, m, &mut out, workers);
                     out
                 };
                 let mul = run();

@@ -43,7 +43,7 @@
 //! // Multiply through the bit-accurate AxCore datapath.
 //! let a = vec![0.25f32; 2 * 128];
 //! let mut out = vec![0f32; 2 * 8];
-//! AxCoreEngine::new(FP16).gemm(&a, 2, &q, &mut out);
+//! AxCoreEngine::new(FP16).try_gemm(&a, 2, &q, &mut out).expect("shapes match");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -65,7 +65,4 @@ pub use engines::{
     PreparedGemm, TenderEngine,
 };
 pub use error::GemmError;
-pub use reliability::{
-    current_verify_policy, runtime_verify_policy, set_runtime_verify_policy, with_verify_policy,
-    VerifyPolicy,
-};
+pub use reliability::VerifyPolicy;

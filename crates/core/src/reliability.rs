@@ -26,124 +26,16 @@
 //!   systolic column outputs, compiled in permanently but guarded by one
 //!   relaxed atomic load so the disarmed cost is unmeasurable.
 //!
-//! The policy knob is [`VerifyPolicy`], settable per-thread with
-//! [`with_verify_policy`] or process-wide with the `AXCORE_VERIFY`
-//! environment variable (`off` / `full` / `sample:<p>`).
+//! The policy knob is [`VerifyPolicy`], the `verify` field of the
+//! per-call [`ExecConfig`](axcore_parallel::ExecConfig): scoped with
+//! [`with_exec`](axcore_parallel::with_exec), defaulted process-wide by
+//! the `AXCORE_VERIFY` environment variable (`off` / `full` /
+//! `sample:<p>`).
 
 use axcore_quant::QuantizedMatrix;
-use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
-/// How much verification a prepared-GEMM call performs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VerifyPolicy {
-    /// No checks. The tier-degradation ladder still catches panics.
-    Off,
-    /// Run the ABFT row check on one call in `p` (per prepared matrix).
-    /// Integrity checksums are skipped — sampling is the cheap
-    /// steady-state mode, bounded by the bench gate.
-    Sample(u32),
-    /// Every call: integrity checksums over the executing tier's prepared
-    /// state *and* the ABFT row check. Detection of single-bit at-rest
-    /// faults in checksummed regions is deterministic in this mode.
-    Full,
-}
-
-thread_local! {
-    /// Per-thread override installed by [`with_verify_policy`].
-    static OVERRIDE: Cell<Option<VerifyPolicy>> = const { Cell::new(None) };
-}
-
-fn parse_policy(s: &str) -> Option<VerifyPolicy> {
-    let s = s.trim();
-    match s.to_ascii_lowercase().as_str() {
-        "off" | "0" | "" => Some(VerifyPolicy::Off),
-        "full" | "1" => Some(VerifyPolicy::Full),
-        "sample" => Some(VerifyPolicy::Sample(16)),
-        other => {
-            let p = other.strip_prefix("sample:")?;
-            p.parse::<u32>().ok().map(|p| VerifyPolicy::Sample(p.max(1)))
-        }
-    }
-}
-
-/// The process-wide policy from `AXCORE_VERIFY`, read once. Unset or
-/// unparsable values mean [`VerifyPolicy::Off`].
-fn env_policy() -> VerifyPolicy {
-    static ENV: OnceLock<VerifyPolicy> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        axcore_parallel::env::parse("AXCORE_VERIFY", "off|full|sample|sample:<period>", parse_policy)
-            .unwrap_or(VerifyPolicy::Off)
-    })
-}
-
-/// Process-wide *runtime* policy override, encoded into one atomic so
-/// readers on the decode hot path pay a single relaxed load:
-/// `0` = unset, `1` = Off, `2` = Full, `3 + p` = Sample(p).
-static RUNTIME_POLICY: AtomicU64 = AtomicU64::new(0);
-
-fn encode_policy(p: Option<VerifyPolicy>) -> u64 {
-    match p {
-        None => 0,
-        Some(VerifyPolicy::Off) => 1,
-        Some(VerifyPolicy::Full) => 2,
-        Some(VerifyPolicy::Sample(n)) => 3u64 + u64::from(n),
-    }
-}
-
-fn decode_policy(bits: u64) -> Option<VerifyPolicy> {
-    match bits {
-        0 => None,
-        1 => Some(VerifyPolicy::Off),
-        2 => Some(VerifyPolicy::Full),
-        n => Some(VerifyPolicy::Sample((n - 3).min(u64::from(u32::MAX)) as u32)),
-    }
-}
-
-/// Install (or with `None`, clear) a process-wide verification policy
-/// override that outranks the `AXCORE_VERIFY` environment setting but is
-/// still outranked by a thread's [`with_verify_policy`] scope.
-///
-/// This is the overload controller's knob: a serving runtime under
-/// pressure steps `Full → Sample → Off` across *all* request threads at
-/// once, then restores the previous rung when the queue drains —
-/// something neither the thread-scoped override (wrong extent) nor the
-/// environment variable (read once) can express. Takes effect on the
-/// next GEMM call; in-flight calls keep the policy they started with.
-pub fn set_runtime_verify_policy(policy: Option<VerifyPolicy>) {
-    RUNTIME_POLICY.store(encode_policy(policy), Ordering::Relaxed);
-}
-
-/// The currently installed runtime override, if any.
-pub fn runtime_verify_policy() -> Option<VerifyPolicy> {
-    decode_policy(RUNTIME_POLICY.load(Ordering::Relaxed))
-}
-
-/// The verification policy in effect on this thread: the
-/// [`with_verify_policy`] override if one is installed, else the
-/// [`set_runtime_verify_policy`] process-wide override, else the
-/// `AXCORE_VERIFY` environment setting, else [`VerifyPolicy::Off`].
-pub fn current_verify_policy() -> VerifyPolicy {
-    OVERRIDE
-        .with(|c| c.get())
-        .or_else(runtime_verify_policy)
-        .unwrap_or_else(env_policy)
-}
-
-/// Run `f` with the thread's verification policy overridden to `policy`,
-/// restoring the previous override afterwards (on unwind too).
-pub fn with_verify_policy<R>(policy: VerifyPolicy, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<VerifyPolicy>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let prev = OVERRIDE.with(|c| c.replace(Some(policy)));
-    let _restore = Restore(prev);
-    f()
-}
+pub use axcore_parallel::VerifyPolicy;
 
 /// Seed for the integrity mix fold.
 pub const CHECKSUM_SEED: u64 = 0xA076_1D64_78BD_642F;
@@ -266,7 +158,7 @@ impl Verifier {
     pub fn new(w: &QuantizedMatrix, rel: f64) -> Self {
         // Resolve the env knobs once, at prepare time, so the first hot
         // call never pays the getenv.
-        let _ = env_policy();
+        let _ = axcore_parallel::current_exec();
         faults::arm_from_env();
         Verifier {
             abft: AbftCheck::from_matrix(w, rel),
@@ -275,10 +167,10 @@ impl Verifier {
         }
     }
 
-    /// Resolve the active policy into this call's [`VerifyPlan`]
-    /// (advancing the sampling counter when sampling).
-    pub fn plan(&self) -> VerifyPlan {
-        match current_verify_policy() {
+    /// Resolve the call's `policy` into its [`VerifyPlan`] (advancing
+    /// the sampling counter when sampling).
+    pub fn plan(&self, policy: VerifyPolicy) -> VerifyPlan {
+        match policy {
             VerifyPolicy::Off => VerifyPlan { abft: false, integrity: false },
             VerifyPolicy::Full => VerifyPlan { abft: true, integrity: true },
             VerifyPolicy::Sample(p) => {
@@ -304,9 +196,10 @@ impl Verifier {
 /// flip one bit of one in-flight value, once, at a chosen event index.
 ///
 /// The taps compile in unconditionally but cost a single relaxed atomic
-/// load when disarmed (the global [`ARMED`] flag), so the hot path keeps
-/// its shape. Arming installs a [`FaultPlan`]; the fault fires at the
-/// `event`-th tap hit on the matching site and then self-disarms, which
+/// load when disarmed (the global `ARMED` flag), so the hot path keeps
+/// its shape. Arming installs a
+/// [`FaultPlan`](crate::reliability::faults::FaultPlan); the fault fires
+/// at the `event`-th tap hit on the matching site and then self-disarms, which
 /// makes campaigns deterministic — the same plan always corrupts the same
 /// in-flight value.
 pub mod faults {
@@ -458,58 +351,28 @@ pub mod faults {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use axcore_parallel::{current_exec, with_exec, ExecConfig};
     use axcore_quant::{GroupQuantizer, QuantFormat};
 
-    #[test]
-    fn runtime_policy_encoding_round_trips() {
-        for p in [
-            None,
-            Some(VerifyPolicy::Off),
-            Some(VerifyPolicy::Full),
-            Some(VerifyPolicy::Sample(1)),
-            Some(VerifyPolicy::Sample(16)),
-            Some(VerifyPolicy::Sample(u32::MAX)),
-        ] {
-            assert_eq!(decode_policy(encode_policy(p)), p);
-        }
-    }
-
-    #[test]
-    fn policy_parses_every_form() {
-        assert_eq!(parse_policy("off"), Some(VerifyPolicy::Off));
-        assert_eq!(parse_policy("full"), Some(VerifyPolicy::Full));
-        assert_eq!(parse_policy("sample"), Some(VerifyPolicy::Sample(16)));
-        assert_eq!(parse_policy("sample:4"), Some(VerifyPolicy::Sample(4)));
-        assert_eq!(parse_policy("sample:0"), Some(VerifyPolicy::Sample(1)));
-        assert_eq!(parse_policy("nonsense"), None);
-    }
-
-    // The runtime-override assertions live inside this same test because
-    // they mutate a process-global slot the surrounding assertions also
-    // observe; the parallel test runner would otherwise interleave them.
+    /// A `with_exec` scope pins the verify field and restores it on
+    /// normal exit and on unwind; the verifier's plan follows it.
     #[test]
     fn override_restores_on_unwind() {
-        assert_eq!(current_verify_policy(), VerifyPolicy::Off);
-        with_verify_policy(VerifyPolicy::Full, || {
-            assert_eq!(current_verify_policy(), VerifyPolicy::Full);
+        let v = Verifier::new(&sample_matrix(), 0.25);
+        assert_eq!(current_exec().verify, VerifyPolicy::Off);
+        let off = v.plan(current_exec().verify);
+        assert!(!off.abft && !off.integrity);
+        with_exec(ExecConfig { verify: VerifyPolicy::Full, ..current_exec() }, || {
+            assert_eq!(current_exec().verify, VerifyPolicy::Full);
+            let full = v.plan(current_exec().verify);
+            assert!(full.abft && full.integrity);
         });
-        assert_eq!(current_verify_policy(), VerifyPolicy::Off);
+        assert_eq!(current_exec().verify, VerifyPolicy::Off);
         let r = std::panic::catch_unwind(|| {
-            with_verify_policy(VerifyPolicy::Full, || panic!("boom"));
+            with_exec(ExecConfig { verify: VerifyPolicy::Full, ..current_exec() }, || panic!("boom"));
         });
         assert!(r.is_err());
-        assert_eq!(current_verify_policy(), VerifyPolicy::Off);
-
-        // Runtime override outranks env (Off here) but not the
-        // thread-scoped override.
-        set_runtime_verify_policy(Some(VerifyPolicy::Sample(4)));
-        assert_eq!(current_verify_policy(), VerifyPolicy::Sample(4));
-        with_verify_policy(VerifyPolicy::Full, || {
-            assert_eq!(current_verify_policy(), VerifyPolicy::Full);
-        });
-        set_runtime_verify_policy(None);
-        assert_eq!(runtime_verify_policy(), None);
-        assert_eq!(current_verify_policy(), VerifyPolicy::Off);
+        assert_eq!(current_exec().verify, VerifyPolicy::Off);
     }
 
     #[test]

@@ -367,7 +367,7 @@ mod tests {
         systolic_gemm(FP16, rows, cols, &a, m, &q, cfg, &mut out_struct);
 
         let mut out_func = vec![0f32; m * n];
-        AxCoreEngine::with_config(FP16, cfg).gemm(&a, m, &q, &mut out_func);
+        AxCoreEngine::with_config(FP16, cfg).try_gemm(&a, m, &q, &mut out_func).expect("gemm");
 
         assert_eq!(out_struct, out_func, "dataflow must be bit-identical");
     }
@@ -388,7 +388,7 @@ mod tests {
             let mut out_struct = vec![0f32; m * n];
             systolic_gemm(FP16, rows, cols, &a, m, &q, cfg, &mut out_struct);
             let mut out_func = vec![0f32; m * n];
-            AxCoreEngine::with_config(FP16, cfg).gemm(&a, m, &q, &mut out_func);
+            AxCoreEngine::with_config(FP16, cfg).try_gemm(&a, m, &q, &mut out_func).expect("gemm");
             assert_eq!(out_struct, out_func, "cfg {cfg:?}");
         }
     }

@@ -182,7 +182,7 @@ mod tests {
         let tiled = grid.run_group(&a, m, &q, 0, 0, cfg);
 
         let mut func = vec![0f32; m * n];
-        AxCoreEngine::with_config(FP16, cfg).gemm(&a, m, &q, &mut func);
+        AxCoreEngine::with_config(FP16, cfg).try_gemm(&a, m, &q, &mut func).expect("gemm");
         for i in 0..m * n {
             assert_eq!(tiled[i] as f32, func[i], "elem {i}");
         }

@@ -43,11 +43,11 @@
 //! reproducible: same seed, same injections, same outcomes.
 
 use axcore::engines::{
-    with_lut_policy, AxCoreConfig, AxCoreEngine, ExactEngine, FignaEngine, FiglutEngine,
-    FpmaEngine, GemmEngine, LutPolicy, TenderEngine,
+    AxCoreConfig, AxCoreEngine, ExactEngine, FignaEngine, FiglutEngine, FpmaEngine, GemmEngine,
+    LutPolicy, TenderEngine,
 };
 use axcore::reliability::faults::{self, FaultPlan, TransientSite};
-use axcore::reliability::{with_verify_policy, VerifyPolicy};
+use axcore::reliability::VerifyPolicy;
 use axcore::systolic::systolic_gemm;
 use axcore_nn::eval::{quantize_model, QuantizedLm, Scheme};
 use axcore_nn::generate::Decoding;
@@ -55,7 +55,7 @@ use axcore_nn::kvcache::{KvArena, KvPageConfig, KV_FAULT_SITES};
 use axcore_nn::layers::ActKind;
 use axcore_nn::model::{LmConfig, TransformerLm};
 use axcore_nn::scheduler::{DecodeScheduler, StepEvent};
-use axcore_parallel::health;
+use axcore_parallel::{current_exec, health, with_exec, ExecConfig};
 use axcore_quant::{GroupQuantizer, KvQuantConfig, QuantFormat, QuantizedMatrix};
 use axcore_softfloat::FP16;
 
@@ -503,10 +503,8 @@ fn sweep_at_rest(
         health::reset();
         let _ = health::take_report();
         let mut reference = vec![0f32; cfg.m * cfg.n];
-        with_lut_policy(policy, || {
-            with_verify_policy(VerifyPolicy::Off, || {
-                pristine.gemm(a, cfg.m, &mut reference);
-            })
+        with_exec(pinned(policy, VerifyPolicy::Off), || {
+            pristine.try_gemm(a, cfg.m, &mut reference).expect("gemm");
         });
         let ref_bits: Vec<u32> = reference.iter().map(|v| v.to_bits()).collect();
 
@@ -519,9 +517,8 @@ fn sweep_at_rest(
             health::reset();
             let _ = health::take_report();
             let mut out = vec![f32::NAN; cfg.m * cfg.n];
-            let res = with_lut_policy(policy, || {
-                with_verify_policy(VerifyPolicy::Full, || p.try_gemm(a, cfg.m, &mut out))
-            });
+            let res =
+                with_exec(pinned(policy, VerifyPolicy::Full), || p.try_gemm(a, cfg.m, &mut out));
             let report = health::take_report();
             let hit = flagged(&res, report.as_ref());
             let equal = res.is_ok() && bits_equal(&out, &ref_bits);
@@ -530,6 +527,11 @@ fn sweep_at_rest(
         tallies.push(tally);
     }
     health::reset();
+}
+
+/// The current execution config with the LUT and verify policies pinned.
+fn pinned(lut: LutPolicy, verify: VerifyPolicy) -> ExecConfig {
+    ExecConfig { lut, verify, ..current_exec() }
 }
 
 /// Run the transient sweep: planned single upsets in the accumulator and
@@ -546,8 +548,8 @@ fn sweep_transient(cfg: &CampaignConfig, rng: &mut XorShift, tallies: &mut Vec<S
     health::reset();
     let _ = health::take_report();
     let mut reference = vec![0f32; cfg.m * cfg.n];
-    with_lut_policy(LutPolicy::Never, || {
-        with_verify_policy(VerifyPolicy::Off, || p.gemm(&a, cfg.m, &mut reference))
+    with_exec(pinned(LutPolicy::Never, VerifyPolicy::Off), || {
+        p.try_gemm(&a, cfg.m, &mut reference).expect("gemm");
     });
     let ref_bits: Vec<u32> = reference.iter().map(|v| v.to_bits()).collect();
 
@@ -562,8 +564,8 @@ fn sweep_transient(cfg: &CampaignConfig, rng: &mut XorShift, tallies: &mut Vec<S
             let _ = health::take_report();
             faults::arm(FaultPlan { site, event, bit });
             let mut out = vec![f32::NAN; cfg.m * cfg.n];
-            let res = with_lut_policy(LutPolicy::Never, || {
-                with_verify_policy(VerifyPolicy::Full, || p.try_gemm(&a, cfg.m, &mut out))
+            let res = with_exec(pinned(LutPolicy::Never, VerifyPolicy::Full), || {
+                p.try_gemm(&a, cfg.m, &mut out)
             });
             let fired = faults::disarm();
             let report = health::take_report();

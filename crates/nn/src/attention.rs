@@ -309,14 +309,10 @@ pub fn attention_context_rows_sharded(
     dh: usize,
 ) -> Vec<f32> {
     let s = start + m;
-    // Mirror the GEMM layer's parallelism floor (ops.rs): below it the
-    // dispatch overhead dominates the head loop.
-    const MIN_PARALLEL_MACS: usize = 32 * 1024;
-    let workers = if m * s * d < MIN_PARALLEL_MACS || n_heads < 2 {
-        1
-    } else {
-        axcore_parallel::current_threads().min(n_heads)
-    };
+    // The GEMM layer's parallel cut-off: below it the dispatch overhead
+    // dominates the head loop.
+    let threads = axcore_parallel::current_threads();
+    let workers = axcore_parallel::threads_for(threads, m * s * d).min(n_heads).max(1);
     let plan = axcore_parallel::ShardPlan::new(d, workers, dh);
     let mut ctx = vec![0f32; m * d];
     axcore_parallel::par_shards_with(

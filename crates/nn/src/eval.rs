@@ -603,7 +603,7 @@ impl QuantizedLm {
     /// returning the `m × vocab` logits rows — one run of
     /// [`QuantizedLm::try_forward_paged_batch`]. Appends the new K/V rows
     /// to `arena` as a **hot FP tail**; the caller commits the advance
-    /// with [`KvArena::commit`] after the pass succeeds (which is when a
+    /// with [`KvArena::try_commit`] after the pass succeeds (which is when a
     /// quantized arena seals newly filled pages).
     ///
     /// With FP pages this is byte-identical to the matching rows of
@@ -892,8 +892,11 @@ mod tests {
         let tokens: Vec<usize> = f.corpus.val[..8].to_vec();
         let base = q.forward(&tokens);
         let _ = q.take_exec_stats();
-        let verified =
-            axcore::with_verify_policy(axcore::VerifyPolicy::Full, || q.forward(&tokens));
+        let full = axcore_parallel::ExecConfig {
+            verify: axcore::VerifyPolicy::Full,
+            ..axcore_parallel::current_exec()
+        };
+        let verified = axcore_parallel::with_exec(full, || q.forward(&tokens));
         let stats = q.take_exec_stats();
         assert!(stats.verified_calls > 0, "verification must have run: {stats:?}");
         assert_eq!(stats.recoveries, 0, "healthy run must not recover: {stats:?}");

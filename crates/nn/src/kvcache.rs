@@ -193,10 +193,10 @@ pub struct KvPageConfig {
     /// zero rejected as a typed error.
     pub max_pages: Option<usize>,
     /// KV-integrity verification override for this arena. `None` (the
-    /// default) follows the ambient
-    /// [`VerifyPolicy`](axcore::reliability::current_verify_policy) —
-    /// the same `AXCORE_VERIFY` / overload-ladder plumbing that drives
-    /// GEMM verification. `Some(p)` pins the arena's own policy, which
+    /// default) follows the `verify` field of the ambient
+    /// [`ExecConfig`](axcore_parallel::ExecConfig) — the same
+    /// `AXCORE_VERIFY` setting and `with_exec` scope that drive GEMM
+    /// verification. `Some(p)` pins the arena's own policy, which
     /// benches use to isolate KV-check overhead.
     pub verify: Option<VerifyPolicy>,
     /// Sealed pages per XOR parity group (`AXCORE_KV_PARITY`).
@@ -1185,7 +1185,7 @@ impl KvArena {
     /// policy or the ambient [`VerifyPolicy`]. Advances the sampling
     /// clock.
     fn should_verify(&mut self) -> bool {
-        let policy = self.verify.unwrap_or_else(axcore::reliability::current_verify_policy);
+        let policy = self.verify.unwrap_or_else(|| axcore_parallel::current_exec().verify);
         self.gathers = self.gathers.wrapping_add(1);
         match policy {
             VerifyPolicy::Off => false,

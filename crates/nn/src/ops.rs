@@ -18,15 +18,11 @@ fn check_len(what: &'static str, got: usize, expected: usize) -> Result<(), Gemm
 }
 
 /// Run `f` serially when the kernel's MAC count is too small to amortize
-/// thread spawns (results are bit-identical either way — this is purely a
-/// scheduling decision).
+/// a pool dispatch (results are bit-identical either way — this is purely
+/// a scheduling decision).
 fn with_pool_if_worthwhile(macs: usize, f: impl FnOnce()) {
-    const MIN_PARALLEL_MACS: usize = 32 * 1024;
-    if macs < MIN_PARALLEL_MACS {
-        axcore_parallel::with_threads(1, f);
-    } else {
-        f();
-    }
+    let threads = axcore_parallel::current_threads();
+    axcore_parallel::with_threads(axcore_parallel::threads_for(threads, macs), f);
 }
 
 /// `out = a · b` with `a: m×k`, `b: k×n`, all row-major.

@@ -182,15 +182,6 @@ pub fn is_quarantined(tier: Tier) -> bool {
     QUARANTINED[tier.idx()].load(Ordering::Relaxed)
 }
 
-/// Lift the quarantine on a single `tier`, leaving the other flags and
-/// the aggregate downgrade counter untouched. The serving runtime's
-/// overload controller uses this to *restore* a tier it quarantined for
-/// load-shedding reasons (as opposed to integrity failures, where
-/// leaving the flag set is the right call).
-pub fn clear_quarantine(tier: Tier) {
-    QUARANTINED[tier.idx()].store(false, Ordering::Relaxed);
-}
-
 /// Clear all quarantine flags and the downgrade counter. Intended for
 /// fault-injection campaigns and tests; a production process would
 /// normally leave a genuinely bad tier quarantined.
@@ -293,17 +284,6 @@ mod tests {
         assert_eq!(inner.expect("inner report captured").tier, Tier::Direct);
         let restored = take_report().expect("outer report restored");
         assert_eq!(restored.tier, Tier::Avx2Lut);
-    }
-
-    #[test]
-    fn clear_quarantine_lifts_a_single_tier() {
-        reset();
-        quarantine(Tier::Avx2Lut);
-        quarantine(Tier::SwarLut);
-        clear_quarantine(Tier::Avx2Lut);
-        assert!(!is_quarantined(Tier::Avx2Lut));
-        assert!(is_quarantined(Tier::SwarLut), "other flags untouched");
-        reset();
     }
 
     #[test]

@@ -23,18 +23,24 @@
 //! * **No nesting blowup** — a worker thread that itself calls into the
 //!   parallel API runs serially, so parallel GEMMs inside parallel row
 //!   sweeps do not oversubscribe the machine.
-//! * **Control** — [`with_threads`] scopes an explicit thread count (1 =
-//!   force serial, used by benches and the bit-exactness tests); the
-//!   `AXCORE_THREADS` environment variable caps the default.
+//! * **Control** — the worker count is one field of the per-call
+//!   [`ExecConfig`] ([`exec`]): [`with_exec`] (or its [`with_threads`]
+//!   view) scopes an explicit count (1 = force serial, used by benches
+//!   and the bit-exactness tests); the `AXCORE_THREADS` environment
+//!   variable sets the default.
 
 #![deny(unsafe_code)] // narrowly allowed in the pool dispatch path only
 
 pub mod arena;
 pub mod env;
+pub mod exec;
 pub mod health;
 pub mod pool;
 pub mod shard;
 
+pub use exec::{
+    current_exec, threads_for, with_exec, ActPolicy, ExecConfig, LutPolicy, VerifyPolicy,
+};
 pub use health::{ExecReport, FailReason, Tier};
 pub use pool::{
     cancel_requested, clear_cancel, force_restart as force_restart_pool, request_cancel,
@@ -42,28 +48,12 @@ pub use pool::{
 };
 pub use shard::{Shard, ShardPlan};
 
-use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
-
-thread_local! {
-    /// Per-thread override installed by [`with_threads`].
-    static THREAD_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
-    /// Set inside pool workers: nested parallel calls run serial.
-    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
-}
 
 /// The machine-level default thread count: `AXCORE_THREADS` if set,
 /// otherwise the available hardware parallelism.
 pub fn max_threads() -> usize {
-    static MAX: OnceLock<usize> = OnceLock::new();
-    *MAX.get_or_init(|| {
-        env::parse_usize("AXCORE_THREADS")
-            .map(|n| n.max(1))
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-            })
-    })
+    exec::default_exec().threads
 }
 
 /// Thread counts worth sweeping in benchmarks: always `1, 2, 4, 8`
@@ -81,50 +71,16 @@ pub fn thread_sweep() -> Vec<usize> {
     counts
 }
 
-/// The thread count parallel calls on this thread will use right now:
-/// 1 inside a worker, the [`with_threads`] override if one is active,
-/// otherwise [`max_threads`].
+/// `current_exec().threads`: the worker count parallel calls on this
+/// thread use right now.
 pub fn current_threads() -> usize {
-    if IN_WORKER.with(|w| w.get()) {
-        return 1;
-    }
-    THREAD_OVERRIDE.with(|o| o.get()).unwrap_or_else(max_threads)
+    current_exec().threads
 }
 
-/// Run `f` with parallel calls on this thread capped at `n` threads
-/// (`1` forces the serial path). The previous setting is restored on
-/// exit, including on panic.
+/// [`with_exec`] with only the worker count changed (`1` forces the
+/// serial path).
 pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<usize>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            THREAD_OVERRIDE.with(|o| o.set(self.0));
-        }
-    }
-    let prev = THREAD_OVERRIDE.with(|o| o.replace(Some(n.max(1))));
-    let _restore = Restore(prev);
-    f()
-}
-
-/// Mark the current thread as a pool worker for its whole lifetime.
-pub(crate) fn mark_worker_thread() {
-    IN_WORKER.with(|w| w.set(true));
-}
-
-/// Run `f` with this thread temporarily marked as a worker (nested
-/// parallel calls inside `f` take the serial path), restoring the
-/// previous state afterwards — used when the submitting thread
-/// participates in its own pooled job.
-pub(crate) fn enter_worker<R>(f: impl FnOnce() -> R) -> R {
-    struct Restore(bool);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            IN_WORKER.with(|w| w.set(self.0));
-        }
-    }
-    let prev = IN_WORKER.with(|w| w.replace(true));
-    let _restore = Restore(prev);
-    f()
+    with_exec(ExecConfig { threads: n, ..current_exec() }, f)
 }
 
 /// Split `data` into contiguous chunks of `chunk_len` elements and call
@@ -517,13 +473,13 @@ mod tests {
 
     #[test]
     fn with_threads_restores_previous_setting() {
-        let before = current_threads();
+        let before = current_exec();
         with_threads(3, || {
-            assert_eq!(current_threads(), 3);
+            assert_eq!(current_exec(), ExecConfig { threads: 3, ..before });
             with_threads(1, || assert_eq!(current_threads(), 1));
             assert_eq!(current_threads(), 3);
         });
-        assert_eq!(current_threads(), before);
+        assert_eq!(current_exec(), before);
     }
 
     #[test]

@@ -9,13 +9,13 @@
 //! concurrently with its own stable slot index. Slot-indexed bodies
 //! (shard dispatch) get per-slot thread affinity: worker `idx` always
 //! executes the same slot, so its thread-local scratch arena stays warm
-//! for that shard's working set. Slot-agnostic bodies ([`run`]) instead
+//! for that shard's working set. Slot-agnostic bodies (`run`) instead
 //! claim work items off a shared atomic counter. Either way dispatch
 //! allocates nothing.
 //!
 //! Guarantees:
 //!
-//! * **Borrow safety** — [`run`] does not return until every participant
+//! * **Borrow safety** — `run` does not return until every participant
 //!   has finished the body, so the erased pointer never outlives the
 //!   caller's borrows (enforced by the completion wait, including on
 //!   panic).
@@ -33,7 +33,7 @@
 //! * **Cancellation** ([`request_cancel`]): a process-global flag the
 //!   chunk-claim loops poll between chunks. Setting it makes an
 //!   in-flight dispatch stop claiming further chunks and converge, so
-//!   [`run`] returns to the submitter. The output of a cancelled
+//!   `run` returns to the submitter. The output of a cancelled
 //!   dispatch is partial — callers must only cancel work whose result
 //!   they will discard. The flag is cleared automatically when the next
 //!   job is submitted (and explicitly via [`clear_cancel`]). The serial
@@ -141,7 +141,7 @@ fn current() -> Arc<Pool> {
 fn worker_loop(pool: Arc<Pool>, idx: usize) {
     // Pool threads are workers for life: nested parallel calls made by
     // engine code running on them must take the serial path.
-    crate::mark_worker_thread();
+    crate::exec::mark_worker_thread();
     // Epochs start at 0 and the first job bumps to 1, so a fresh worker
     // never mistakes the idle state for a pending job.
     let mut seen = 0u64;
@@ -240,7 +240,7 @@ pub(crate) fn run_indexed(helpers: usize, body: &(dyn Fn(usize) + Sync)) {
     // The submitting thread participates as slot 0. Even if the body
     // panics here, the completion wait below must still happen before the
     // borrows behind `body` can be invalidated.
-    let caller_result = catch_unwind(AssertUnwindSafe(|| crate::enter_worker(|| body(0))));
+    let caller_result = catch_unwind(AssertUnwindSafe(|| crate::exec::enter_worker(|| body(0))));
     let worker_panic = {
         let mut st = lock(&pool.state);
         while st.running > 0 {

@@ -1,42 +1,36 @@
-//! The overload controller: a hysteretic ladder that trades verification
-//! coverage, execution tier, and batch size for headroom before it ever
-//! rejects a request.
+//! The overload controller: a hysteretic ladder that trades batch size
+//! and cached KV prefixes for headroom before it ever rejects a request.
 //!
 //! Levels, in the order they are applied (and undone in reverse):
 //!
 //! | level | action |
 //! |-------|--------|
-//! | 0 | nominal — whatever the process had configured |
-//! | 1 | runtime verify policy → `Sample(16)` |
-//! | 2 | runtime verify policy → `Off` |
-//! | 3 | quarantine the LUT tiers (forces the direct datapath, whose working set skips the per-call LUT gather bookkeeping and frees the verify budget entirely) |
-//! | 4 | halve the batch ceiling (shorter batches → finer deadline granularity) |
-//! | 5 | evict the longest-idle sequence's KV prefix pages (raises a request the batcher consumes between decode steps; the victim re-prefills when resumed — memory headroom before any request is refused) |
-//! | 6 | shed: new submissions get `SubmitError::Overloaded` |
+//! | 0 | nominal |
+//! | 1 | halve the batch ceiling (shorter batches → finer deadline granularity) |
+//! | 2 | evict the longest-idle sequence's KV prefix pages (raises a request the batcher consumes between decode steps; the victim re-prefills when resumed — memory headroom before any request is refused) |
+//! | 3 | shed: new submissions get `SubmitError::Overloaded` |
 //!
-//! Every tier/policy mutation remembers what it found so restore puts
-//! back the *pre-existing* state — a tier quarantined for an integrity
-//! failure before the controller touched it stays quarantined after the
-//! overload clears.
+//! Every rung acts only on this server's own state. The controller never
+//! touches process-global execution state: the GEMM tier and
+//! verification choices (`AXCORE_LUT`, `AXCORE_VERIFY`, tier quarantine)
+//! hold under load exactly as the operator set them.
 //!
 //! Escalation is immediate (queue ≥ 3/4 capacity at a tick); restoration
 //! requires `hysteresis_ticks` consecutive calm ticks (queue ≤ 1/4), so
 //! a load oscillating around the threshold cannot flap the ladder.
 
 use crate::report::{Incident, Metrics};
-use axcore::VerifyPolicy;
-use axcore_parallel::health::{self, Tier};
 use std::sync::atomic::Ordering::Relaxed;
+
+/// Ladder rung that halves the batch ceiling.
+pub(crate) const HALVE_LEVEL: u8 = 1;
 
 /// Ladder rung that evicts longest-idle KV prefix pages — the last
 /// resort *before* refusing work.
-pub(crate) const EVICT_LEVEL: u8 = 5;
+pub(crate) const EVICT_LEVEL: u8 = 2;
 
 /// Highest ladder rung: admission shedding.
-pub(crate) const SHED_LEVEL: u8 = 6;
-
-/// Sampling denominator installed at level 1 (ABFT on one call in 16).
-const SAMPLE_P: u32 = 16;
+pub(crate) const SHED_LEVEL: u8 = 3;
 
 #[derive(Debug)]
 pub(crate) struct Controller {
@@ -47,12 +41,6 @@ pub(crate) struct Controller {
     level: u8,
     peak: u8,
     calm: u32,
-    /// Runtime verify policy observed before level 1 was applied.
-    saved_policy: Option<Option<VerifyPolicy>>,
-    /// Which LUT tiers level 3 quarantined itself (`[Avx2Lut, SwarLut]`);
-    /// tiers already quarantined by the reliability layer are left alone
-    /// on restore.
-    quarantined_by_us: [bool; 2],
 }
 
 impl Controller {
@@ -65,8 +53,6 @@ impl Controller {
             level: 0,
             peak: 0,
             calm: 0,
-            saved_policy: None,
-            quarantined_by_us: [false; 2],
         }
     }
 
@@ -83,9 +69,9 @@ impl Controller {
         self.level >= SHED_LEVEL
     }
 
-    /// Batch ceiling under the current level (halved at level ≥ 4).
+    /// Batch ceiling under the current level (halved from level 1 up).
     pub fn effective_max_batch(&self) -> usize {
-        if self.level >= 4 {
+        if self.level >= HALVE_LEVEL {
             (self.max_batch / 2).max(1)
         } else {
             self.max_batch
@@ -102,79 +88,29 @@ impl Controller {
         let calm = queue_len * 4 <= self.queue_depth;
         if hot && self.level < SHED_LEVEL {
             self.calm = 0;
-            self.escalate(metrics);
+            self.level += 1;
+            self.peak = self.peak.max(self.level);
+            // The eviction rung raises a request; the batcher (which
+            // owns the scheduler) performs it between decode steps.
+            // There is nothing to undo on restore — an evicted prefix
+            // is simply recomputed when the victim resumes. The other
+            // rungs are pure controller state, read through
+            // `effective_max_batch` / `shedding`.
+            if self.level == EVICT_LEVEL {
+                metrics.pending_evictions.fetch_add(1, Relaxed);
+            }
+            metrics.escalations.fetch_add(1, Relaxed);
+            metrics.note_incident(Incident::Escalated { level: self.level });
         } else if calm && self.level > 0 {
             self.calm += 1;
             if self.calm >= self.hysteresis_ticks {
                 self.calm = 0;
-                self.restore(metrics);
+                self.level -= 1;
+                metrics.restores.fetch_add(1, Relaxed);
+                metrics.note_incident(Incident::Restored { level: self.level });
             }
         } else {
             self.calm = 0;
-        }
-    }
-
-    fn escalate(&mut self, metrics: &Metrics) {
-        let to = self.level + 1;
-        match to {
-            1 => {
-                self.saved_policy = Some(axcore::runtime_verify_policy());
-                axcore::set_runtime_verify_policy(Some(VerifyPolicy::Sample(SAMPLE_P)));
-            }
-            2 => axcore::set_runtime_verify_policy(Some(VerifyPolicy::Off)),
-            3 => {
-                for (i, tier) in [Tier::Avx2Lut, Tier::SwarLut].into_iter().enumerate() {
-                    if !health::is_quarantined(tier) {
-                        health::quarantine(tier);
-                        self.quarantined_by_us[i] = true;
-                    }
-                }
-            }
-            // The eviction rung raises a request; the batcher (which
-            // owns the scheduler) performs it between decode steps.
-            // There is nothing to undo on restore — an evicted prefix
-            // is simply recomputed when the victim resumes.
-            EVICT_LEVEL => {
-                metrics.pending_evictions.fetch_add(1, Relaxed);
-            }
-            // 4 (batch halving) and 6 (shedding) are pure controller
-            // state, read through `effective_max_batch` / `shedding`.
-            _ => {}
-        }
-        self.level = to;
-        self.peak = self.peak.max(to);
-        metrics.escalations.fetch_add(1, Relaxed);
-        metrics.note_incident(Incident::Escalated { level: to });
-    }
-
-    fn restore(&mut self, metrics: &Metrics) {
-        let from = self.level;
-        match from {
-            3 => {
-                for (i, tier) in [Tier::Avx2Lut, Tier::SwarLut].into_iter().enumerate() {
-                    if self.quarantined_by_us[i] {
-                        health::clear_quarantine(tier);
-                        self.quarantined_by_us[i] = false;
-                    }
-                }
-            }
-            2 => axcore::set_runtime_verify_policy(Some(VerifyPolicy::Sample(SAMPLE_P))),
-            1 => {
-                axcore::set_runtime_verify_policy(self.saved_policy.take().unwrap_or(None));
-            }
-            _ => {}
-        }
-        self.level = from - 1;
-        metrics.restores.fetch_add(1, Relaxed);
-        metrics.note_incident(Incident::Restored { level: self.level });
-    }
-
-    /// Walk the ladder back to nominal, undoing every side effect. Used
-    /// at shutdown so the process-global policy/quarantine state the
-    /// controller installed does not outlive the server.
-    pub fn unwind(&mut self, metrics: &Metrics) {
-        while self.level > 0 {
-            self.restore(metrics);
         }
     }
 }
@@ -183,44 +119,33 @@ impl Controller {
 mod tests {
     use super::*;
 
-    /// Global-state test: runtime verify policy and quarantine flags are
-    /// process-wide, so all ladder behaviour is exercised in one test to
-    /// avoid parallel-runner interference (same approach as the
-    /// reliability-layer tests).
     #[test]
     fn ladder_escalates_applies_side_effects_and_restores_preexisting_state() {
         let metrics = Metrics::default();
-        health::reset();
-        // Pre-existing state the controller must preserve: SwarLut is
-        // already quarantined (say, by an earlier integrity failure).
-        health::quarantine(Tier::SwarLut);
-        axcore::set_runtime_verify_policy(Some(VerifyPolicy::Full));
-
         let mut c = Controller::new(true, 16, 8, 2);
         assert_eq!(c.effective_max_batch(), 8);
         assert!(!c.shedding());
 
-        // Queue at capacity: every tick escalates one level.
-        for expect in 1..=SHED_LEVEL {
-            c.tick(16, &metrics);
-            assert_eq!(c.level(), expect);
-        }
+        // Queue at capacity: every tick escalates one level, in the
+        // order halve → evict → shed.
         c.tick(16, &metrics);
-        assert_eq!(c.level(), SHED_LEVEL, "ladder is capped");
-        assert!(c.shedding());
-        assert_eq!(c.effective_max_batch(), 4, "batch halved at level 4+");
+        assert_eq!((c.level(), c.effective_max_batch()), (HALVE_LEVEL, 4), "batch halved");
+        assert_eq!(metrics.pending_evictions.load(Relaxed), 0);
+        c.tick(16, &metrics);
+        assert_eq!(c.level(), EVICT_LEVEL);
         assert_eq!(
             metrics.pending_evictions.load(Relaxed),
             1,
             "evict rung raised exactly one eviction request before shedding"
         );
-        assert_eq!(
-            axcore::runtime_verify_policy(),
-            Some(VerifyPolicy::Off),
-            "level 2 turned verification off"
-        );
-        assert!(health::is_quarantined(Tier::Avx2Lut), "level 3 forced direct");
-        assert!(health::is_quarantined(Tier::SwarLut));
+        assert!(!c.shedding());
+        c.tick(16, &metrics);
+        assert_eq!(c.level(), SHED_LEVEL);
+        c.tick(16, &metrics);
+        assert_eq!(c.level(), SHED_LEVEL, "ladder is capped");
+        assert!(c.shedding());
+        assert_eq!(c.effective_max_batch(), 4, "batch stays halved while shedding");
+        assert_eq!(metrics.pending_evictions.load(Relaxed), 1);
 
         // Calm queue: needs hysteresis_ticks (2) consecutive calm ticks
         // per restored level.
@@ -237,35 +162,13 @@ mod tests {
         }
         assert_eq!(c.level(), 0, "fully restored");
         assert_eq!(c.peak(), SHED_LEVEL);
-        assert_eq!(
-            axcore::runtime_verify_policy(),
-            Some(VerifyPolicy::Full),
-            "pre-existing runtime policy restored"
-        );
-        assert!(
-            !health::is_quarantined(Tier::Avx2Lut),
-            "controller-set quarantine lifted"
-        );
-        assert!(
-            health::is_quarantined(Tier::SwarLut),
-            "pre-existing quarantine (integrity failure) preserved"
-        );
-
-        // unwind() from a partially degraded state also restores.
-        c.tick(16, &metrics);
-        c.tick(16, &metrics);
-        assert_eq!(c.level(), 2);
-        c.unwind(&metrics);
-        assert_eq!(c.level(), 0);
-        assert_eq!(axcore::runtime_verify_policy(), Some(VerifyPolicy::Full));
+        assert_eq!(c.effective_max_batch(), 8);
+        assert_eq!(metrics.escalations.load(Relaxed), 3);
+        assert_eq!(metrics.restores.load(Relaxed), 3);
 
         // Disabled controller never moves.
         let mut off = Controller::new(false, 16, 8, 2);
         off.tick(16, &metrics);
         assert_eq!(off.level(), 0);
-
-        // Cleanup for other tests in the process.
-        axcore::set_runtime_verify_policy(None);
-        health::reset();
     }
 }

@@ -22,15 +22,14 @@
 //!   ([`ServeConfig::max_tokens_in_flight`]) so the page arena — not
 //!   the queue — is what memory tracks. With the default FP pages every
 //!   served output stays **bit-identical** to the same request run
-//!   alone — batching, admission timing, eviction, load shedding, and
-//!   verification downgrades never change answer bits, only latency and
-//!   failure typing. `AXCORE_KV` switches the arena to 4-bit quantized
+//!   alone — batching, admission timing, eviction and load shedding
+//!   never change answer bits, only latency and failure typing. `AXCORE_KV` switches the arena to 4-bit quantized
 //!   pages (an accuracy-gated tier, no longer bit-exact).
 //! * **Overload shedding** — a hysteretic controller walks a
-//!   degradation ladder (verification `Full → Sample → Off`, LUT tiers
-//!   → direct datapath, batch shrink, longest-idle KV prefix eviction,
+//!   degradation ladder (batch shrink, longest-idle KV prefix eviction,
 //!   finally typed admission shedding) and walks it back when the queue
-//!   calms.
+//!   calms. It acts on the server's own state only: the process-wide
+//!   tier and verification settings hold under load.
 //! * **Watchdog** — a supervisor thread detects batches that stopped
 //!   making progress, cancels them cooperatively, and if that fails
 //!   abandons the batch with [`ServeError::Wedged`], force-restarts the

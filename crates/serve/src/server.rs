@@ -371,8 +371,7 @@ impl Server {
     /// Drain-then-stop: new submissions are rejected with
     /// [`SubmitError::Draining`], already-admitted requests are served
     /// to completion (the watchdog stays armed, so a wedge during drain
-    /// still recovers), then the threads are joined and the controller's
-    /// process-global side effects are unwound. Returns the final
+    /// still recovers), then the threads are joined. Returns the final
     /// report.
     pub fn shutdown(mut self) -> ServeReport {
         let report_before_teardown = self.report();
@@ -392,9 +391,6 @@ impl Server {
         self.shared.stop_watchdog.store(true, Relaxed);
         if let Some(wd) = self.watchdog.take() {
             let _ = wd.join();
-        }
-        if let Ok(mut c) = self.shared.controller.lock() {
-            c.unwind(&self.shared.metrics);
         }
         drop(report_before_teardown);
         self.report()
@@ -985,5 +981,74 @@ mod tests {
             .incidents
             .iter()
             .any(|i| matches!(i, Incident::PoolRestarted { abandoned: 1 })));
+    }
+
+    /// The overload ladder (halve → evict → shed) acts on this server
+    /// alone: walking it to the shed level and back changes neither the
+    /// tier quarantine flags nor the execution config a fresh thread
+    /// resolves, so an operator's `AXCORE_VERIFY` / `AXCORE_LUT` hold
+    /// under load.
+    #[test]
+    fn overload_ladder_leaves_process_exec_state_alone() {
+        use crate::controller::{HALVE_LEVEL, SHED_LEVEL};
+        use axcore_parallel::health::{self, Tier};
+        const TIERS: [Tier; 4] = [Tier::W4a8, Tier::Avx2Lut, Tier::SwarLut, Tier::Direct];
+        let observe = || {
+            thread::spawn(|| (axcore_parallel::current_exec(), TIERS.map(health::is_quarantined)))
+                .join()
+                .expect("observer thread")
+        };
+        let before = observe();
+        let cfg = ServeConfig {
+            queue_depth: 8,
+            max_batch: 2,
+            batch_window: Duration::from_millis(1),
+            default_deadline: Duration::from_secs(10),
+            watchdog_interval: Duration::from_millis(2),
+            hysteresis_ticks: 1,
+            // The first batch stalls, so the queue backs up and each
+            // watchdog tick escalates one rung until admission sheds.
+            fault: Some(ServeFault::WedgeFirstBatch {
+                hold: Duration::from_millis(200),
+            }),
+            ..ServeConfig::default()
+        };
+        let server = Server::start(tiny_qlm(), cfg);
+        let mut tickets = Vec::new();
+        let mut shed_at = None;
+        let t0 = Instant::now();
+        while shed_at.is_none() && t0.elapsed() < Duration::from_secs(5) {
+            match server.submit(&[1, 2], 2, None) {
+                Ok(t) => tickets.push(t),
+                Err(SubmitError::Overloaded { level }) => shed_at = Some(level),
+                Err(SubmitError::QueueFull { .. }) => {}
+                Err(e) => panic!("unexpected rejection: {e}"),
+            }
+            assert_eq!(observe(), before, "at level {}", server.report().level);
+            thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(shed_at, Some(SHED_LEVEL), "typed shedding at the top rung");
+        for t in tickets {
+            t.wait().expect("admitted requests are served");
+        }
+        let t1 = Instant::now();
+        while server.report().level > 0 && t1.elapsed() < Duration::from_secs(5) {
+            assert_eq!(observe(), before, "at level {}", server.report().level);
+            thread::sleep(Duration::from_millis(2));
+        }
+        let report = server.shutdown();
+        assert_eq!(report.level, 0, "controller restored to nominal");
+        assert_eq!(report.peak_level, SHED_LEVEL);
+        assert_eq!(observe(), before);
+        let climbed: Vec<u8> = report
+            .incidents
+            .iter()
+            .filter_map(|i| match i {
+                Incident::Escalated { level } => Some(*level),
+                _ => None,
+            })
+            .take(3)
+            .collect();
+        assert_eq!(climbed, [HALVE_LEVEL, EVICT_LEVEL, SHED_LEVEL], "halve → evict → shed");
     }
 }

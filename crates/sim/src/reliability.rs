@@ -2,7 +2,7 @@
 //! what the ABFT row check and the at-rest integrity sweep would cost on
 //! the accelerator, in cycles relative to the base GEMM schedule.
 //!
-//! Mirrors the functional layer's [`VerifyPolicy`] tiers (`Off` /
+//! Mirrors the functional layer's `VerifyPolicy` tiers (`Off` /
 //! `Sample(p)` / `Full`) with the same semantics: sampling runs only the
 //! ABFT check on one call in `p`, `Full` adds a checksum re-read of the
 //! stationary weight state on every call. The estimate is deliberately

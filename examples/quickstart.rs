@@ -42,13 +42,13 @@ fn main() {
     //    SNC, correction advancing, deferred normalization, AxScale.
     let axcore = AxCoreEngine::new(FP16);
     let mut out_ax = vec![0f32; m * n];
-    axcore.gemm(&acts, m, &q, &mut out_ax);
+    axcore.try_gemm(&acts, m, &q, &mut out_ax).expect("gemm");
 
     // 3. Compare against an exact FP16 core on the same quantized weights,
     //    and against the f64 reference.
     let exact = ExactEngine::new(FP16);
     let mut out_exact = vec![0f32; m * n];
-    exact.gemm(&acts, m, &q, &mut out_exact);
+    exact.try_gemm(&acts, m, &q, &mut out_exact).expect("gemm");
 
     let wq = q.dequant_all();
     let mut reference = vec![0f64; m * n];
@@ -78,7 +78,7 @@ fn main() {
     ] {
         let e = AxCoreEngine::with_config(FP16, cfg);
         let mut out = vec![0f32; m * n];
-        e.gemm(&acts, m, &q, &mut out);
+        e.try_gemm(&acts, m, &q, &mut out).expect("gemm");
         let o64: Vec<f64> = out.iter().map(|&x| x as f64).collect();
         println!("  {name:28} {:5.1} dB", snr_db(&reference, &o64));
     }

@@ -36,7 +36,7 @@ proptest! {
             .collect();
         let q = quantized(&w, k, n, QuantFormat::E2M1, 32);
         let mut out = vec![0f32; m * n];
-        AxCoreEngine::new(FP16).gemm(&a, m, &q, &mut out);
+        AxCoreEngine::new(FP16).try_gemm(&a, m, &q, &mut out).expect("gemm");
         let bound = (k as f32) * 2.0 * scale * 1.3; // |a|≤1, |w|≤scale, +31% slack
         for &o in &out {
             prop_assert!(o.is_finite());
@@ -61,7 +61,7 @@ proptest! {
         let rms = (reference.iter().map(|x| x * x).sum::<f64>() / reference.len() as f64).sqrt();
         prop_assume!(rms > 0.3);
         let mut out = vec![0f32; m * n];
-        AxCoreEngine::new(FP16).gemm(&a, m, &q, &mut out);
+        AxCoreEngine::new(FP16).try_gemm(&a, m, &q, &mut out).expect("gemm");
         let o: Vec<f64> = out.iter().map(|&x| x as f64).collect();
         prop_assert!(snr_db(&reference, &o) > 12.0);
     }
@@ -80,7 +80,7 @@ proptest! {
         let mut reference = vec![0f64; m * n];
         reference_gemm(&a, m, &wq, k, n, &mut reference);
         let mut out = vec![0f32; m * n];
-        FignaEngine::new(FP16).gemm(&a, m, &q_int, &mut out);
+        FignaEngine::new(FP16).try_gemm(&a, m, &q_int, &mut out).expect("gemm");
         for (o, r) in out.iter().zip(&reference) {
             prop_assert!((*o as f64 - r).abs() <= r.abs().max(1.0) * 1e-4);
         }
@@ -98,8 +98,8 @@ proptest! {
         let q = quantized(&w, k, n, QuantFormat::E1M2, 32);
         let engine = AxCoreEngine::new(FP16);
         let (mut o1, mut o2) = (vec![0f32; m * n], vec![0f32; m * n]);
-        engine.gemm(&a, m, &q, &mut o1);
-        engine.gemm(&a, m, &q, &mut o2);
+        engine.try_gemm(&a, m, &q, &mut o1).expect("gemm");
+        engine.try_gemm(&a, m, &q, &mut o2).expect("gemm");
         prop_assert_eq!(o1, o2);
     }
 
@@ -116,7 +116,7 @@ proptest! {
         let a = vec![1.0f32; m * k];
         let q = quantized(&w, k, n, QuantFormat::E2M1, 32);
         let mut out = vec![0f32; m * n];
-        AxCoreEngine::with_config(FP16, cfg).gemm(&a, m, &q, &mut out);
+        AxCoreEngine::with_config(FP16, cfg).try_gemm(&a, m, &q, &mut out).expect("gemm");
         // All-equal inputs: output ≈ k · 0.25 within approximation error.
         for &o in &out {
             prop_assert!((o - 8.0).abs() < 1.5, "cfg {cfg:?}: {o}");
@@ -175,8 +175,8 @@ fn exact_vs_axcore_on_llm_shaped_gemm() {
         .collect();
     let q = GroupQuantizer::adaptive_fp4(64, 16, None).quantize(&w, k, n);
     let (mut o_ax, mut o_ex) = (vec![0f32; m * n], vec![0f32; m * n]);
-    AxCoreEngine::new(FP16).gemm(&a, m, &q, &mut o_ax);
-    ExactEngine::new(FP16).gemm(&a, m, &q, &mut o_ex);
+    AxCoreEngine::new(FP16).try_gemm(&a, m, &q, &mut o_ax).expect("gemm");
+    ExactEngine::new(FP16).try_gemm(&a, m, &q, &mut o_ex).expect("gemm");
     let num: f64 = o_ax.iter().zip(&o_ex).map(|(x, y)| ((x - y) as f64).powi(2)).sum();
     let den: f64 = o_ex.iter().map(|y| (*y as f64).powi(2)).sum();
     let rel_rms = (num / den).sqrt();

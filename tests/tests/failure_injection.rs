@@ -28,7 +28,7 @@ fn infinite_activations_saturate_not_nan() {
     a[3] = f32::INFINITY;
     a[7] = f32::NEG_INFINITY;
     let mut out = vec![0f32; m * n];
-    AxCoreEngine::new(FP16).gemm(&a, m, &q, &mut out);
+    AxCoreEngine::new(FP16).try_gemm(&a, m, &q, &mut out).expect("gemm");
     // Saturating encode maps ±inf to ±max-finite; outputs stay finite.
     assert!(out.iter().all(|o| o.is_finite()), "{out:?}");
 }
@@ -40,7 +40,7 @@ fn huge_activations_clamp_to_fp16_range() {
     let a = vec![1e30f32; m * k];
     let mut out = vec![0f32; m * n];
     for engine in engines() {
-        engine.gemm(&a, m, &q, &mut out);
+        engine.try_gemm(&a, m, &q, &mut out).expect("gemm");
         assert!(
             out.iter().all(|o| o.is_finite()),
             "{}: {out:?}",
@@ -55,7 +55,7 @@ fn denormal_activations_flush_cleanly() {
     let q = fp4_weights(k, n);
     let a = vec![1e-30f32; m * k]; // far below FP16 subnormal range
     let mut out = vec![0f32; m * n];
-    AxCoreEngine::new(FP16).gemm(&a, m, &q, &mut out);
+    AxCoreEngine::new(FP16).try_gemm(&a, m, &q, &mut out).expect("gemm");
     assert!(out.iter().all(|&o| o == 0.0), "{out:?}");
 }
 
@@ -64,7 +64,7 @@ fn single_element_dimensions() {
     // m = k-group = n = 1: the smallest legal GEMM.
     let q = GroupQuantizer::fixed(QuantFormat::E2M1, 1).quantize(&[0.5f32], 1, 1);
     let mut out = vec![0f32; 1];
-    AxCoreEngine::new(FP16).gemm(&[2.0], 1, &q, &mut out);
+    AxCoreEngine::new(FP16).try_gemm(&[2.0], 1, &q, &mut out).expect("gemm");
     assert!((out[0] - 1.0).abs() < 0.2, "{}", out[0]);
 }
 
@@ -80,7 +80,7 @@ fn adversarial_weights_all_max_magnitude() {
     let q = GroupQuantizer::fixed(QuantFormat::E2M1, 32).quantize(&w, k, n);
     let a = vec![1.0f32; m * k];
     let mut out = vec![0f32; m * n];
-    AxCoreEngine::new(FP16).gemm(&a, m, &q, &mut out);
+    AxCoreEngine::new(FP16).try_gemm(&a, m, &q, &mut out).expect("gemm");
     // Exact cancellation per group: output must be (near) zero, not a
     // saturated garbage value.
     for &o in &out {
@@ -95,7 +95,7 @@ fn nan_activation_does_not_poison_other_outputs() {
     let mut a = vec![0.25f32; m * k];
     a[0] = f32::NAN; // poisons row 0 only
     let mut out = vec![0f32; m * n];
-    AxCoreEngine::new(FP16).gemm(&a, m, &q, &mut out);
+    AxCoreEngine::new(FP16).try_gemm(&a, m, &q, &mut out).expect("gemm");
     // Row 1 saw no NaN and must be unaffected and finite.
     assert!(out[n..].iter().all(|o| o.is_finite()));
     // Row 0: the saturating encoder maps NaN to max-finite — still finite.
@@ -118,7 +118,7 @@ fn all_engines_handle_zero_matrices() {
         } else {
             &q0
         };
-        engine.gemm(&a, m, q, &mut out);
+        engine.try_gemm(&a, m, q, &mut out).expect("gemm");
         assert!(out.iter().all(|&o| o == 0.0), "{}", engine.name());
         out.fill(7.0);
     }
@@ -132,7 +132,7 @@ fn tender_survives_constant_rows() {
     let q = int_weights(k, n, QuantFormat::INT8);
     let a = vec![0.0f32; m * k]; // all-zero row → scale fallback path
     let mut out = vec![1f32; m * n];
-    TenderEngine::new(8, 4).gemm(&a, m, &q, &mut out);
+    TenderEngine::new(8, 4).try_gemm(&a, m, &q, &mut out).expect("gemm");
     assert!(out.iter().all(|&o| o == 0.0));
 }
 
@@ -158,12 +158,14 @@ fn snc_handles_every_bit_pattern_without_panic() {
 
 #[test]
 fn shape_validation_panics_are_clean() {
+    // A wrong K is a typed error, not a panic.
     let q = fp4_weights(32, 4);
-    let result = std::panic::catch_unwind(|| {
-        let mut out = vec![0f32; 4];
-        AxCoreEngine::new(FP16).gemm(&[1.0f32; 31], 1, &q, &mut out); // wrong K
-    });
-    assert!(result.is_err(), "shape mismatch must be rejected");
+    let mut out = vec![0f32; 4];
+    let result = AxCoreEngine::new(FP16).try_gemm(&[1.0f32; 31], 1, &q, &mut out);
+    assert!(
+        matches!(result, Err(axcore::GemmError::DimMismatch { .. })),
+        "shape mismatch must be rejected: {result:?}"
+    );
 }
 
 #[test]

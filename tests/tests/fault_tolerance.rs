@@ -9,12 +9,12 @@
 //! both sides.
 
 use axcore::engines::{
-    with_lut_policy, AxCoreEngine, ExactEngine, FiglutEngine, FignaEngine, FpmaEngine, GemmEngine,
-    LutPolicy, TenderEngine,
+    AxCoreEngine, ExactEngine, FiglutEngine, FignaEngine, FpmaEngine, GemmEngine, LutPolicy,
+    TenderEngine,
 };
-use axcore::{with_verify_policy, VerifyPolicy};
+use axcore::VerifyPolicy;
 use axcore_faults::{run_campaign, CampaignConfig};
-use axcore_parallel::{health, ExecReport, FailReason, Tier};
+use axcore_parallel::{current_exec, health, with_exec, ExecConfig, ExecReport, FailReason, Tier};
 use axcore_quant::{GroupQuantizer, QuantFormat};
 use axcore_softfloat::FP16;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -55,14 +55,14 @@ fn run_full(
     policy: LutPolicy,
 ) -> Option<ExecReport> {
     let _ = health::take_report();
-    axcore_parallel::with_threads(1, || {
-        with_lut_policy(policy, || {
-            with_verify_policy(VerifyPolicy::Full, || {
-                p.try_gemm(a, M, out).unwrap_or_else(|e| panic!("{e}"));
-            })
-        })
-    });
+    with_exec(pinned(1, policy, VerifyPolicy::Full), || p.try_gemm(a, M, out).expect("gemm"));
     health::take_report()
+}
+
+/// The current execution config with `threads`, `lut` and `verify`
+/// pinned.
+fn pinned(threads: usize, lut: LutPolicy, verify: VerifyPolicy) -> ExecConfig {
+    ExecConfig { threads, lut, verify, ..current_exec() }
 }
 
 /// Forced LUT-region corruption at `Full`: every LUT rung fails its
@@ -76,9 +76,8 @@ fn corrupted_lut_state_degrades_to_direct_with_report() {
 
     let pristine = engine.prepare(&q);
     let mut reference = vec![0f32; M * N];
-    axcore_parallel::with_threads(1, || {
-        with_lut_policy(LutPolicy::Always, || pristine.gemm(&a, M, &mut reference))
-    });
+    let serial = ExecConfig { threads: 1, lut: LutPolicy::Always, ..current_exec() };
+    with_exec(serial, || pristine.try_gemm(&a, M, &mut reference).expect("gemm"));
 
     let mut p = engine.prepare(&q);
     assert!(p.inject_fault("planes", 3, 5));
@@ -135,9 +134,8 @@ fn corrupted_direct_lanes_recover_from_pristine() {
         health::reset();
         let pristine = engine.prepare(q);
         let mut reference = vec![0f32; M * N];
-        axcore_parallel::with_threads(1, || {
-            with_lut_policy(LutPolicy::Never, || pristine.gemm(&a, M, &mut reference))
-        });
+        let serial = ExecConfig { threads: 1, lut: LutPolicy::Never, ..current_exec() };
+        with_exec(serial, || pristine.try_gemm(&a, M, &mut reference).expect("gemm"));
 
         let mut p = engine.prepare(q);
         assert!(p.inject_fault(site, 7, 13), "{name}: no {site} site");
@@ -167,21 +165,17 @@ fn pool_stays_usable_after_degradation() {
     let mut p = engine.prepare(&q);
     assert!(p.inject_fault("planes", 1, 2));
     let mut out = vec![f32::NAN; M * N];
-    axcore_parallel::with_threads(4, || {
-        with_lut_policy(LutPolicy::Always, || {
-            with_verify_policy(VerifyPolicy::Full, || {
-                p.try_gemm(&a, M, &mut out).unwrap_or_else(|e| panic!("{e}"));
-            })
-        })
+    with_exec(pinned(4, LutPolicy::Always, VerifyPolicy::Full), || {
+        p.try_gemm(&a, M, &mut out).expect("gemm")
     });
     health::reset();
     let _ = health::take_report();
 
     let clean = engine.prepare(&q);
     let mut serial = vec![0f32; M * N];
-    axcore_parallel::with_threads(1, || clean.gemm(&a, M, &mut serial));
+    axcore_parallel::with_threads(1, || clean.try_gemm(&a, M, &mut serial).expect("gemm"));
     let mut pooled = vec![f32::NAN; M * N];
-    axcore_parallel::with_threads(4, || clean.gemm(&a, M, &mut pooled));
+    axcore_parallel::with_threads(4, || clean.try_gemm(&a, M, &mut pooled).expect("gemm"));
     for (j, (s, o)) in serial.iter().zip(&pooled).enumerate() {
         assert_eq!(s.to_bits(), o.to_bits(), "elem {j} after degradation");
     }

@@ -27,7 +27,7 @@ fn axcore_runs_all_activation_formats() {
     reference_gemm(&a, m, &wq, k, n, &mut reference);
     for act in [FP16, BF16, FP32] {
         let mut out = vec![0f32; m * n];
-        AxCoreEngine::new(act).gemm(&a, m, &q, &mut out);
+        AxCoreEngine::new(act).try_gemm(&a, m, &q, &mut out).expect("gemm");
         let o: Vec<f64> = out.iter().map(|&x| x as f64).collect();
         let snr = snr_db(&reference, &o);
         assert!(snr > 15.0, "{}: SNR {snr:.1} dB", act.name);
@@ -49,7 +49,7 @@ fn wider_activation_mantissas_raise_snr() {
     reference_gemm(&a, m, &wq, k, n, &mut reference);
     let snr_of = |act| {
         let mut out = vec![0f32; m * n];
-        AxCoreEngine::new(act).gemm(&a, m, &q, &mut out);
+        AxCoreEngine::new(act).try_gemm(&a, m, &q, &mut out).expect("gemm");
         let o: Vec<f64> = out.iter().map(|&x| x as f64).collect();
         snr_db(&reference, &o)
     };
@@ -74,7 +74,7 @@ fn fp8_weights_through_all_engines() {
     ];
     for e in engines {
         let mut out = vec![0f32; m * n];
-        e.gemm(&a, m, &q, &mut out);
+        e.try_gemm(&a, m, &q, &mut out).expect("gemm");
         let o: Vec<f64> = out.iter().map(|&x| x as f64).collect();
         let snr = snr_db(&reference, &o);
         assert!(snr > 18.0, "{}: SNR {snr:.1} dB", e.name());
@@ -114,7 +114,7 @@ fn mixed_format_blocks_in_one_gemm() {
     assert!(fmts.len() >= 2, "fixture must mix formats: {fmts:?}");
     let a = vec![0.5f32; m * k];
     let mut out = vec![0f32; m * n];
-    AxCoreEngine::new(FP16).gemm(&a, m, &q, &mut out);
+    AxCoreEngine::new(FP16).try_gemm(&a, m, &q, &mut out).expect("gemm");
     let wq = q.dequant_all();
     let mut reference = vec![0f64; m * n];
     reference_gemm(&a, m, &wq, k, n, &mut reference);

@@ -17,14 +17,15 @@
 //! FP16 entirely (the PreAdd Guard-zero path).
 
 use axcore::engines::{
-    with_lut_policy, AxCoreEngine, ExactEngine, FignaEngine, FiglutEngine, FpmaEngine, GemmEngine,
-    LutPolicy, TenderEngine,
+    AxCoreEngine, ExactEngine, FignaEngine, FiglutEngine, FpmaEngine, GemmEngine, LutPolicy,
+    TenderEngine,
 };
+use axcore_parallel::{current_exec, with_exec, ExecConfig};
 use axcore_quant::{GroupQuantizer, QuantFormat, QuantizedMatrix};
 use axcore_softfloat::FP16;
 use proptest::prelude::*;
 
-/// Defaults chosen so `m·k·n` clears `MIN_PARALLEL_MACS` (32·1024): the
+/// Defaults chosen so `m·k·n` clears the 32Ki-MAC parallel cut-off: the
 /// 2- and 4-worker runs genuinely split work instead of degenerating to
 /// the serial path.
 const M: usize = 8;
@@ -92,19 +93,13 @@ fn all_codes_matrix(
 fn assert_lut_bit_exact(engine: &dyn GemmEngine, a: &[f32], m: usize, q: &QuantizedMatrix) {
     let prepared = engine.prepare(q);
     let mut reference = vec![0f32; m * q.n];
-    axcore_parallel::with_threads(1, || {
-        with_lut_policy(LutPolicy::Never, || {
-            engine.gemm_prepared(&*prepared, a, m, &mut reference)
-        });
-    });
+    let direct = ExecConfig { threads: 1, lut: LutPolicy::Never, ..current_exec() };
+    with_exec(direct, || engine.try_gemm_prepared(&*prepared, a, m, &mut reference).expect("gemm"));
     let mut got = vec![0f32; m * q.n];
     for threads in [1usize, 2, 4] {
         got.fill(f32::NAN);
-        axcore_parallel::with_threads(threads, || {
-            with_lut_policy(LutPolicy::Always, || {
-                engine.gemm_prepared(&*prepared, a, m, &mut got)
-            });
-        });
+        let lut = ExecConfig { threads, lut: LutPolicy::Always, ..direct };
+        with_exec(lut, || engine.try_gemm_prepared(&*prepared, a, m, &mut got).expect("gemm"));
         for (j, (r, l)) in reference.iter().zip(&got).enumerate() {
             assert_eq!(
                 r.to_bits(),
@@ -116,9 +111,8 @@ fn assert_lut_bit_exact(engine: &dyn GemmEngine, a: &[f32], m: usize, q: &Quanti
     }
     // Whatever tier the Auto heuristic picks for this shape must agree.
     got.fill(f32::NAN);
-    axcore_parallel::with_threads(4, || {
-        with_lut_policy(LutPolicy::Auto, || engine.gemm_prepared(&*prepared, a, m, &mut got));
-    });
+    let auto = ExecConfig { threads: 4, lut: LutPolicy::Auto, ..direct };
+    with_exec(auto, || engine.try_gemm_prepared(&*prepared, a, m, &mut got).expect("gemm"));
     for (j, (r, l)) in reference.iter().zip(&got).enumerate() {
         assert_eq!(
             r.to_bits(),
@@ -251,24 +245,18 @@ fn pathological_activations_bit_identical_across_tiers() {
 /// comparison), so a healthy engine must not downgrade or recover.
 #[test]
 fn pathological_activations_survive_full_verification() {
-    use axcore::{with_verify_policy, VerifyPolicy};
+    use axcore::VerifyPolicy;
     let a = pathological_activations();
     let q = GroupQuantizer::adaptive_fp4(32, 4, None).quantize(&weights(K * N, 3, 0.4), K, N);
     let engine = AxCoreEngine::new(FP16);
     let prepared = engine.prepare(&q);
     let mut reference = vec![0f32; M * N];
-    axcore_parallel::with_threads(1, || {
-        with_lut_policy(LutPolicy::Never, || prepared.gemm(&a, M, &mut reference))
-    });
+    let direct = ExecConfig { threads: 1, lut: LutPolicy::Never, ..current_exec() };
+    with_exec(direct, || prepared.try_gemm(&a, M, &mut reference).expect("gemm"));
     for policy in [LutPolicy::Never, LutPolicy::Always] {
         let mut out = vec![f32::NAN; M * N];
-        axcore_parallel::with_threads(1, || {
-            with_lut_policy(policy, || {
-                with_verify_policy(VerifyPolicy::Full, || {
-                    prepared.try_gemm(&a, M, &mut out).unwrap_or_else(|e| panic!("{e}"));
-                })
-            })
-        });
+        let verified = ExecConfig { lut: policy, verify: VerifyPolicy::Full, ..direct };
+        with_exec(verified, || prepared.try_gemm(&a, M, &mut out).expect("gemm"));
         let report = axcore_parallel::health::take_report();
         if let Some(r) = report {
             assert_eq!(r.n_downgrades(), 0, "healthy call must not degrade: {r:?}");

@@ -22,7 +22,7 @@ fn engines_run_mx_blocks_unchanged() {
     assert!(scales_are_power_of_two(&q));
     let a: Vec<f32> = (0..m * k).map(|i| ((i * 31 % 17) as f32 - 8.0) * 0.1).collect();
     let mut out = vec![0f32; m * n];
-    AxCoreEngine::new(FP16).gemm(&a, m, &q, &mut out);
+    AxCoreEngine::new(FP16).try_gemm(&a, m, &q, &mut out).expect("gemm");
     assert!(out.iter().all(|o| o.is_finite()));
     let wq = q.dequant_all();
     let mut reference = vec![0f64; m * n];
@@ -55,7 +55,7 @@ fn mx_accuracy_cost_through_engine_is_bounded() {
         .collect();
     let snr_of = |q: &axcore_quant::QuantizedMatrix| {
         let mut out = vec![0f32; m * n];
-        AxCoreEngine::new(FP16).gemm(&a, m, q, &mut out);
+        AxCoreEngine::new(FP16).try_gemm(&a, m, q, &mut out).expect("gemm");
         let mut reference = vec![0f64; m * n];
         reference_gemm(&a, m, &w, k, n, &mut reference); // vs *unquantized* weights
         let o: Vec<f64> = out.iter().map(|&x| x as f64).collect();

@@ -9,9 +9,9 @@
 //! with 2 or 4 workers must produce byte-identical `f32` outputs — on
 //! prefill and decode shapes and on pathological activation rows.
 //!
-//! Sizes are chosen so `m·n·k` exceeds the engines' `MIN_PARALLEL_MACS`
-//! work threshold (32·1024); below it both runs would be serial and the
-//! property would be vacuous.
+//! Sizes are chosen so `m·n·k` exceeds the 32Ki-MAC parallel cut-off
+//! (`axcore_parallel::threads_for`); below it both runs would be serial
+//! and the property would be vacuous.
 
 use axcore::engines::{
     AxCoreEngine, ExactEngine, FignaEngine, FiglutEngine, FpmaEngine, GemmEngine, TenderEngine,
@@ -45,12 +45,12 @@ fn assert_parallel_bit_exact(engine: &dyn GemmEngine, a: &[f32], w: &QuantizedMa
     let prepared = engine.prepare(w);
     let mut serial = vec![0f32; M * N];
     axcore_parallel::with_threads(1, || {
-        engine.gemm_prepared(&*prepared, a, M, &mut serial);
+        engine.try_gemm_prepared(&*prepared, a, M, &mut serial).expect("gemm");
     });
     for threads in [2usize, 4] {
         let mut parallel = vec![f32::NAN; M * N];
         axcore_parallel::with_threads(threads, || {
-            engine.gemm_prepared(&*prepared, a, M, &mut parallel);
+            engine.try_gemm_prepared(&*prepared, a, M, &mut parallel).expect("gemm");
         });
         for (j, (s, p)) in serial.iter().zip(&parallel).enumerate() {
             assert_eq!(
@@ -64,7 +64,7 @@ fn assert_parallel_bit_exact(engine: &dyn GemmEngine, a: &[f32], w: &QuantizedMa
     // The plain gemm path drives the same prepared kernel; it must match too.
     let mut direct = vec![0f32; M * N];
     axcore_parallel::with_threads(4, || {
-        engine.gemm(a, M, w, &mut direct);
+        engine.try_gemm(a, M, w, &mut direct).expect("gemm");
     });
     for (j, (s, d)) in serial.iter().zip(&direct).enumerate() {
         assert_eq!(
@@ -148,10 +148,10 @@ proptest! {
         let engine = AxCoreEngine::new(FP16);
         let prepared = engine.prepare(&q);
         let mut serial = vec![0f32; n];
-        axcore_parallel::with_threads(1, || prepared.gemm(&a, 1, &mut serial));
+        axcore_parallel::with_threads(1, || prepared.try_gemm(&a, 1, &mut serial).expect("gemm"));
         for threads in [2usize, 4] {
             let mut parallel = vec![f32::NAN; n];
-            axcore_parallel::with_threads(threads, || prepared.gemm(&a, 1, &mut parallel));
+            axcore_parallel::with_threads(threads, || prepared.try_gemm(&a, 1, &mut parallel).expect("gemm"));
             for (j, (s, p)) in serial.iter().zip(&parallel).enumerate() {
                 prop_assert_eq!(
                     s.to_bits(),

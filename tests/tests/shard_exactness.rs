@@ -18,10 +18,11 @@
 //! pristine serial run, and the failing tier lands in quarantine.
 
 use axcore::engines::{
-    with_lut_policy, AxCoreEngine, ExactEngine, FignaEngine, FiglutEngine, FpmaEngine, GemmEngine,
-    LutPolicy, TenderEngine,
+    AxCoreEngine, ExactEngine, FignaEngine, FiglutEngine, FpmaEngine, GemmEngine, LutPolicy,
+    TenderEngine,
 };
-use axcore::{with_verify_policy, VerifyPolicy};
+use axcore::VerifyPolicy;
+use axcore_parallel::{current_exec, with_exec, ExecConfig};
 use axcore_quant::{GroupQuantizer, QuantFormat, QuantizedMatrix};
 use axcore_softfloat::FP16;
 use proptest::prelude::*;
@@ -56,12 +57,12 @@ fn assert_shard_bit_exact(engine: &dyn GemmEngine, a: &[f32], m: usize, w: &Quan
     let n = w.n;
     let mut serial = vec![0f32; m * n];
     axcore_parallel::with_threads(1, || {
-        engine.gemm_prepared(&*prepared, a, m, &mut serial);
+        engine.try_gemm_prepared(&*prepared, a, m, &mut serial).expect("gemm");
     });
     for threads in [2usize, 4, 8] {
         let mut sharded = vec![f32::NAN; m * n];
         axcore_parallel::with_threads(threads, || {
-            engine.gemm_prepared(&*prepared, a, m, &mut sharded);
+            engine.try_gemm_prepared(&*prepared, a, m, &mut sharded).expect("gemm");
         });
         for (j, (s, p)) in serial.iter().zip(&sharded).enumerate() {
             assert_eq!(
@@ -92,7 +93,7 @@ proptest! {
     fn axcore_sharded_equals_serial(seed in 0u64..500, scale in 0.05f32..2.0) {
         let engine = AxCoreEngine::new(FP16);
         for policy in [LutPolicy::Always, LutPolicy::Never] {
-            with_lut_policy(policy, || {
+            with_exec(ExecConfig { lut: policy, ..current_exec() }, || {
                 let qd = GroupQuantizer::adaptive_fp4(32, 4, None)
                     .quantize(&weights(seed, DEC_K * DEC_N, scale), DEC_K, DEC_N);
                 assert_shard_bit_exact(&engine, &activations(seed, DEC_K), 1, &qd);
@@ -160,20 +161,14 @@ fn quarantined_tier_fallback_stays_bit_exact_under_shards() {
 
     let pristine = engine.prepare(&q);
     let mut reference = vec![0f32; DEC_N];
-    axcore_parallel::with_threads(1, || {
-        with_lut_policy(LutPolicy::Always, || pristine.gemm(&a, 1, &mut reference));
-    });
+    let serial = ExecConfig { threads: 1, lut: LutPolicy::Always, ..current_exec() };
+    with_exec(serial, || pristine.try_gemm(&a, 1, &mut reference).expect("gemm"));
 
     let mut corrupt = engine.prepare(&q);
     assert!(corrupt.inject_fault("planes", 3, 5));
     let mut sharded = vec![f32::NAN; DEC_N];
-    axcore_parallel::with_threads(4, || {
-        with_lut_policy(LutPolicy::Always, || {
-            with_verify_policy(VerifyPolicy::Full, || {
-                corrupt.try_gemm(&a, 1, &mut sharded).unwrap_or_else(|e| panic!("{e}"));
-            })
-        })
-    });
+    let verified = ExecConfig { threads: 4, verify: VerifyPolicy::Full, ..serial };
+    with_exec(verified, || corrupt.try_gemm(&a, 1, &mut sharded).expect("gemm"));
     let report = health::take_report().expect("degraded call must publish a report");
     assert_eq!(report.tier, Tier::Direct, "must land on the direct tier");
     assert!(
@@ -187,13 +182,7 @@ fn quarantined_tier_fallback_stays_bit_exact_under_shards() {
     // And once quarantined, the sharded path keeps serving bit-exact
     // results straight from the healthy tier.
     let mut again = vec![f32::NAN; DEC_N];
-    axcore_parallel::with_threads(4, || {
-        with_lut_policy(LutPolicy::Always, || {
-            with_verify_policy(VerifyPolicy::Full, || {
-                corrupt.try_gemm(&a, 1, &mut again).unwrap_or_else(|e| panic!("{e}"));
-            })
-        });
-    });
+    with_exec(verified, || corrupt.try_gemm(&a, 1, &mut again).expect("gemm"));
     for (r, s) in reference.iter().zip(&again) {
         assert_eq!(r.to_bits(), s.to_bits());
     }

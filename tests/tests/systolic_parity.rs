@@ -25,7 +25,7 @@ fn parity_across_formats_and_shapes() {
             let mut s = vec![0f32; m * n];
             systolic_gemm(FP16, rows, cols, &a, m, &q, cfg, &mut s);
             let mut f = vec![0f32; m * n];
-            AxCoreEngine::with_config(FP16, cfg).gemm(&a, m, &q, &mut f);
+            AxCoreEngine::with_config(FP16, cfg).try_gemm(&a, m, &q, &mut f).expect("gemm");
             assert_eq!(s, f, "{fmt} shape ({m},{k},{n}) array {rows}x{cols}");
         }
     }
@@ -42,7 +42,7 @@ fn parity_holds_for_bf16_activations() {
     let mut s = vec![0f32; m * n];
     systolic_gemm(BF16, rows, cols, &a, m, &q, cfg, &mut s);
     let mut f = vec![0f32; m * n];
-    AxCoreEngine::with_config(BF16, cfg).gemm(&a, m, &q, &mut f);
+    AxCoreEngine::with_config(BF16, cfg).try_gemm(&a, m, &q, &mut f).expect("gemm");
     assert_eq!(s, f);
 }
 
@@ -67,7 +67,7 @@ fn parity_with_zero_rich_inputs() {
     let mut s = vec![0f32; m * n];
     systolic_gemm(FP16, rows, cols, &a, m, &q, cfg, &mut s);
     let mut f = vec![0f32; m * n];
-    AxCoreEngine::with_config(FP16, cfg).gemm(&a, m, &q, &mut f);
+    AxCoreEngine::with_config(FP16, cfg).try_gemm(&a, m, &q, &mut f).expect("gemm");
     assert_eq!(s, f);
 }
 

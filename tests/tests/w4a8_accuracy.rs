@@ -26,10 +26,8 @@
 //! one mutex and starts from clean health state: one test's quarantine
 //! would otherwise disengage the tier under the tests running beside it.
 
-use axcore::engines::{
-    with_act_policy, ActPolicy, AxCoreEngine, FignaEngine, FiglutEngine, FpmaEngine, GemmEngine,
-};
-use axcore_parallel::{health, Tier};
+use axcore::engines::{ActPolicy, AxCoreEngine, FignaEngine, FiglutEngine, FpmaEngine, GemmEngine};
+use axcore_parallel::{current_exec, health, with_exec, ExecConfig, Tier};
 use axcore_quant::{GroupQuantizer, QuantFormat, QuantizedMatrix};
 use axcore_softfloat::FP16;
 use proptest::prelude::*;
@@ -60,14 +58,17 @@ fn weights(seed: u64, scale: f32) -> Vec<f32> {
         .collect()
 }
 
+/// The current execution config with `threads` and `act` pinned.
+fn pinned(threads: usize, act: ActPolicy) -> ExecConfig {
+    ExecConfig { threads, act, ..current_exec() }
+}
+
 /// FP-activation reference: the engine's own prepared path with the
 /// integer tier disengaged (serial, so the reference is unambiguous).
 fn fp_reference(engine: &dyn GemmEngine, a: &[f32], q: &QuantizedMatrix) -> Vec<f32> {
     let prepared = engine.prepare(q);
     let mut out = vec![0f32; M * q.n];
-    axcore_parallel::with_threads(1, || {
-        with_act_policy(ActPolicy::Never, || prepared.gemm(a, M, &mut out));
-    });
+    with_exec(pinned(1, ActPolicy::Never), || prepared.try_gemm(a, M, &mut out).expect("gemm"));
     out
 }
 
@@ -83,9 +84,7 @@ fn assert_w4a8_within_tolerance(
     let wdeq = q.dequant_all();
     let prepared = engine.prepare(q);
     let mut serial_w4a8 = vec![0f32; M * q.n];
-    axcore_parallel::with_threads(1, || {
-        with_act_policy(ActPolicy::Always, || prepared.gemm(a, M, &mut serial_w4a8));
-    });
+    with_exec(pinned(1, ActPolicy::Always), || prepared.try_gemm(a, M, &mut serial_w4a8).expect("gemm"));
     for i in 0..M {
         for j in 0..q.n {
             let mag: f64 = (0..K)
@@ -102,9 +101,7 @@ fn assert_w4a8_within_tolerance(
     }
     for workers in [2usize, 4, 8] {
         let mut sharded = vec![f32::NAN; M * q.n];
-        axcore_parallel::with_threads(workers, || {
-            with_act_policy(ActPolicy::Always, || prepared.gemm(a, M, &mut sharded));
-        });
+        with_exec(pinned(workers, ActPolicy::Always), || prepared.try_gemm(a, M, &mut sharded).expect("gemm"));
         for (j, (s, p)) in serial_w4a8.iter().zip(&sharded).enumerate() {
             prop_assert_eq!(
                 s.to_bits(),
@@ -178,9 +175,7 @@ fn ineligible_weights_fall_back_bit_identically() {
         let fp = fp_reference(engine.as_ref(), &a, q);
         let prepared = engine.prepare(q);
         let mut out = vec![f32::NAN; M * q.n];
-        axcore_parallel::with_threads(1, || {
-            with_act_policy(ActPolicy::Always, || prepared.gemm(&a, M, &mut out));
-        });
+        with_exec(pinned(1, ActPolicy::Always), || prepared.try_gemm(&a, M, &mut out).expect("gemm"));
         for (j, (f, w)) in fp.iter().zip(&out).enumerate() {
             assert_eq!(
                 f.to_bits(),
@@ -209,9 +204,7 @@ fn quarantined_tier_falls_back_bit_identically() {
         health::reset();
         health::quarantine(Tier::W4a8);
         let mut out = vec![f32::NAN; M * N];
-        axcore_parallel::with_threads(1, || {
-            with_act_policy(ActPolicy::Always, || prepared.gemm(&a, M, &mut out));
-        });
+        with_exec(pinned(1, ActPolicy::Always), || prepared.try_gemm(&a, M, &mut out).expect("gemm"));
         health::reset();
         for (j, (f, w)) in fp.iter().zip(&out).enumerate() {
             assert_eq!(
@@ -236,9 +229,7 @@ fn always_policy_engages_the_integer_tier() {
     let prepared = engine.prepare(&q);
     let mut out = vec![0f32; M * N];
     let ((), timing) = axcore::kmetrics::with_kernel_timing(|| {
-        axcore_parallel::with_threads(1, || {
-            with_act_policy(ActPolicy::Always, || prepared.gemm(&a, M, &mut out));
-        });
+        with_exec(pinned(1, ActPolicy::Always), || prepared.try_gemm(&a, M, &mut out).expect("gemm"));
     });
     assert!(
         timing.act_quant_ns > 0,

@@ -4,7 +4,8 @@
 //! The tile kernel's bit-exactness against the per-column path it
 //! replaced is a proptest in `crates/core/src/engines/w4a8.rs`.
 
-use axcore::engines::{with_act_policy, ActPolicy, AxCoreEngine, GemmEngine};
+use axcore::engines::{ActPolicy, AxCoreEngine, GemmEngine};
+use axcore_parallel::{current_exec, with_exec, ExecConfig};
 use axcore_quant::GroupQuantizer;
 use axcore_softfloat::FP16;
 
@@ -33,12 +34,11 @@ fn each_row_is_quantized_once_per_call() {
         let mut out = vec![0f32; m * n];
         for workers in [1usize, 4] {
             let ((), t) = axcore::kmetrics::with_kernel_timing(|| {
-                axcore_parallel::with_threads(workers, || {
-                    with_act_policy(ActPolicy::Always, || {
-                        for _ in 0..3 {
-                            prepared.gemm(&a, m, &mut out);
-                        }
-                    });
+                let cfg = ExecConfig { threads: workers, act: ActPolicy::Always, ..current_exec() };
+                with_exec(cfg, || {
+                    for _ in 0..3 {
+                        prepared.try_gemm(&a, m, &mut out).expect("gemm");
+                    }
                 });
             });
             assert_eq!(

@@ -29,7 +29,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use axcore::engines::{with_act_policy, with_lut_policy, ActPolicy, AxCoreEngine, GemmEngine, LutPolicy};
+use axcore::engines::{ActPolicy, AxCoreEngine, GemmEngine, LutPolicy};
+use axcore_parallel::{current_exec, with_exec, ExecConfig};
 use axcore_quant::GroupQuantizer;
 use axcore_softfloat::FP16;
 
@@ -92,49 +93,45 @@ fn steady_state_decode_allocates_nothing() {
     let prepared = engine.prepare(&q);
     let mut out = vec![0f32; n];
 
-    axcore_parallel::with_threads(1, || {
-        for policy in [LutPolicy::Always, LutPolicy::Never] {
-            with_lut_policy(policy, || {
-                // Warmup: populate the prepared-LUT cache and grow the
-                // per-thread scratch arena to steady-state size.
-                for _ in 0..3 {
-                    prepared.gemm(&a, 1, &mut out);
+    for policy in [LutPolicy::Always, LutPolicy::Never] {
+        with_exec(ExecConfig { threads: 1, lut: policy, ..current_exec() }, || {
+            // Warmup: populate the prepared-LUT cache and grow the
+            // per-thread scratch arena to steady-state size.
+            for _ in 0..3 {
+                prepared.try_gemm(&a, 1, &mut out).expect("gemm");
+            }
+            let count = allocations_during(|| {
+                for _ in 0..50 {
+                    prepared.try_gemm(&a, 1, &mut out).expect("gemm");
                 }
-                let count = allocations_during(|| {
-                    for _ in 0..50 {
-                        prepared.gemm(&a, 1, &mut out);
-                    }
-                });
-                assert_eq!(
-                    count, 0,
-                    "steady-state decode under {policy:?} made {count} heap \
-                     allocations across 50 calls; expected zero"
-                );
             });
-        }
-    });
+            assert_eq!(
+                count, 0,
+                "steady-state decode under {policy:?} made {count} heap \
+                 allocations across 50 calls; expected zero"
+            );
+        });
+    }
 
     // Sharded decode: four pool workers, each owning a column shard with
     // its own arena-recycled LUT table. Warmup spawns the workers and
     // fills every participant's arena slot; stable slot→thread affinity
     // then keeps each worker reusing its own warm table, so the armed
     // window must see zero allocations from any thread.
-    axcore_parallel::with_threads(4, || {
-        with_lut_policy(LutPolicy::Always, || {
-            for _ in 0..3 {
-                prepared.gemm(&a, 1, &mut out);
+    with_exec(ExecConfig { threads: 4, lut: LutPolicy::Always, ..current_exec() }, || {
+        for _ in 0..3 {
+            prepared.try_gemm(&a, 1, &mut out).expect("gemm");
+        }
+        let count = allocations_during(|| {
+            for _ in 0..50 {
+                prepared.try_gemm(&a, 1, &mut out).expect("gemm");
             }
-            let count = allocations_during(|| {
-                for _ in 0..50 {
-                    prepared.gemm(&a, 1, &mut out);
-                }
-            });
-            assert_eq!(
-                count, 0,
-                "steady-state sharded decode at 4 workers made {count} heap \
-                 allocations across 50 calls; expected zero"
-            );
         });
+        assert_eq!(
+            count, 0,
+            "steady-state sharded decode at 4 workers made {count} heap \
+             allocations across 50 calls; expected zero"
+        );
     });
 
     // W4A8 integer-activation tier: the per-call Q8 quantization of every
@@ -150,22 +147,20 @@ fn steady_state_decode_allocates_nothing() {
     for m in [1usize, 8, 64] {
         let (a, out) = (&rows[..m * k], &mut out_rows[..m * n]);
         for threads in [1usize, 4] {
-            axcore_parallel::with_threads(threads, || {
-                with_act_policy(ActPolicy::Always, || {
-                    for _ in 0..3 {
-                        prepared.gemm(a, m, out);
+            with_exec(ExecConfig { threads, act: ActPolicy::Always, ..current_exec() }, || {
+                for _ in 0..3 {
+                    prepared.try_gemm(a, m, out).expect("gemm");
+                }
+                let count = allocations_during(|| {
+                    for _ in 0..50 {
+                        prepared.try_gemm(a, m, out).expect("gemm");
                     }
-                    let count = allocations_during(|| {
-                        for _ in 0..50 {
-                            prepared.gemm(a, m, out);
-                        }
-                    });
-                    assert_eq!(
-                        count, 0,
-                        "steady-state W4A8 at m = {m}, {threads} worker(s) made {count} \
-                         heap allocations across 50 calls; expected zero"
-                    );
                 });
+                assert_eq!(
+                    count, 0,
+                    "steady-state W4A8 at m = {m}, {threads} worker(s) made {count} \
+                     heap allocations across 50 calls; expected zero"
+                );
             });
         }
     }
