@@ -19,8 +19,9 @@
 //! * `parallel_prepared` — `prepare()` once, `gemm_prepared` with the
 //!   direct per-MAC kernel pinned (`LutPolicy::Never`);
 //! * `lut` (prefill) / `pooled` (decode) — `prepare()` once, the LUT
-//!   tier pinned (`LutPolicy::Always`): arena-recycled tables and
-//!   nibble-packed SWAR code-plane gathers;
+//!   tier pinned (`LutPolicy::Always`): arena-recycled tables and the
+//!   vector LUT kernel over nibble-packed code planes (the SWAR gather
+//!   on hosts without one);
 //! * `w4a8` (decode only) — the integer-activation tier
 //!   (`ActPolicy::Always`): the activation row Q8-quantized once
 //!   per call, weight blocks folded in as integer dots of 4-bit codes
@@ -30,6 +31,12 @@
 //!   other shapes: `decode_m8x64_w4a8` (64 calls of an 8-row stacked
 //!   decode) and `prefill_m64x8_w4a8` (8 calls of a 64-row prefill
 //!   panel); their rows/s count activation rows.
+//! * `decode_m8x64_lut` — the LUT tier at the 8-row stacked decode
+//!   shape, one worker, measured in alternating rounds with the m = 1
+//!   LUT decode (`m1_rows_per_s`); the vector kernel folds stacked rows
+//!   per decoded code word, so its per-row cost must fall with m. The
+//!   entry names the kernel body that ran (`avx512`, `avx2` or
+//!   `scalar`).
 //!
 //! Every configuration runs on the persistent worker pool. A
 //! `spawn_overhead_us` entry reports the pool's per-dispatch cost of one
@@ -64,9 +71,10 @@
 //! baseline, if the best prefill configuration's
 //! speedup over the seed falls under 3×, if W4A8 decode is not at least
 //! 1.5× the pooled FP-activation LUT decode at one worker, if the W4A8
-//! perplexity delta exceeds the DESIGN.md §10 bound, or — on hosts with
-//! at least 4 cores — if pooled decode scaling efficiency at 4 workers
-//! falls under 0.7 (the CI regression gates).
+//! perplexity delta exceeds the DESIGN.md §10 bound, if the m = 8 LUT
+//! decode's rows/s is not above the paired m = 1 LUT decode's, or — on
+//! hosts with at least 4 cores — if pooled decode scaling efficiency at
+//! 4 workers falls under 0.7 (the CI regression gates).
 
 use axcore::accum::{NormUnit, PartialAcc};
 use axcore::axscale::AxScale;
@@ -396,6 +404,31 @@ fn main() {
 
     let spawn_pooled_us = spawn_overhead_us();
 
+    // Stacked LUT decode at one worker, in alternating rounds with the
+    // m = 1 LUT decode it is gated against.
+    let (mut lut_m1, mut lut_m8) = (f64::MAX, f64::MAX);
+    axcore_parallel::with_threads(1, || {
+        with_exec(lut(LutPolicy::Always), || {
+            for _ in 0..5 {
+                lut_m1 = lut_m1.min(time_it(1, || {
+                    for _ in 0..DECODE_CALLS {
+                        engine.try_gemm_prepared(&*prepared, a_decode, 1, &mut out[..N]).expect("gemm");
+                    }
+                }));
+                lut_m8 = lut_m8.min(time_it(1, || {
+                    for _ in 0..DECODE_CALLS {
+                        engine
+                            .try_gemm_prepared(&*prepared, a_stacked, STACKED_M, &mut out[..STACKED_M * N])
+                            .expect("gemm");
+                    }
+                }));
+            }
+        })
+    });
+    let lut_m1_rows_per_s = decode_rows / lut_m1;
+    let lut_m8_rows_per_s = stacked_rows / lut_m8;
+    let lut_body = axcore_simd::lut_body().name();
+
     // Verification overhead on the steady-state decode path: the same
     // pooled decode loop under `Sample(16)` (the ABFT row check on one
     // call in 16) vs `Off`. Alternating-round minima like the sweep;
@@ -508,6 +541,9 @@ fn main() {
     ] {
         json.push_str(&format!("  \"{name}\": {},\n", e.json(e)));
     }
+    json.push_str(&format!(
+        "  \"decode_m8x64_lut\": {{ \"rows_per_s\": {lut_m8_rows_per_s:.1}, \"seconds\": {lut_m8:.6}, \"threads\": 1, \"m1_rows_per_s\": {lut_m1_rows_per_s:.1}, \"body\": \"{lut_body}\" }},\n"
+    ));
     json.push_str(&format!("  \"spawn_overhead_us\": {{ \"pooled\": {spawn_pooled_us:.2} }},\n"));
     json.push_str(&format!(
         "  \"verify_overhead_pct\": {{ \"decode_m1x64_sample16_vs_off\": {verify_overhead_pct:.2}, \"threads\": {max_threads} }},\n"
@@ -556,6 +592,9 @@ fn main() {
     ));
     std::fs::write("BENCH_gemm.json", &json).expect("write BENCH_gemm.json");
     print!("{json}");
+    println!(
+        "LUT kernel body {lut_body}: m = 8 decode {lut_m8_rows_per_s:.1} rows/s vs m = 1 {lut_m1_rows_per_s:.1} rows/s (1 worker)"
+    );
     println!(
         "prefill {prefill_speedup_vs_seed:.1}x (best in sweep), decode {decode_speedup_vs_seed:.1}x (1 worker) vs the seed per-call gemm; LUT tier {decode_lut_speedup:.1}x over direct prepared decode; W4A8 tier {w4a8_speedup_1t:.2}x over pooled LUT decode, ppl delta {w4a8_ppl_delta_pct:.2}% (1 worker; {max_threads} threads max, {available_parallelism} cores)"
     );
@@ -614,6 +653,19 @@ fn main() {
         }
         println!(
             "strict gate ok: W4A8 perplexity delta {w4a8_ppl_delta_pct:.3}% within {W4A8_PPL_BOUND_PCT}% ({ppl_fp:.4} -> {ppl_w4a8:.4})"
+        );
+
+        // Stacked-row gate: the LUT kernel shares each decoded code word
+        // across the rows of a block, so the per-row cost must fall with
+        // m — 8 stacked rows must beat 8 single-row calls.
+        if lut_m8_rows_per_s <= lut_m1_rows_per_s {
+            eprintln!(
+                "FAIL: LUT decode at m = 8 ({lut_m8_rows_per_s:.1} rows/s) not above m = 1 ({lut_m1_rows_per_s:.1} rows/s) at 1 worker ({lut_body} body)"
+            );
+            std::process::exit(1);
+        }
+        println!(
+            "strict gate ok: LUT decode m = 8 {lut_m8_rows_per_s:.1} rows/s > m = 1 {lut_m1_rows_per_s:.1} rows/s at 1 worker ({lut_body} body)"
         );
 
         // Multi-core scaling gate: pooled decode must keep at least 0.7

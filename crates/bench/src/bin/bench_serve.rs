@@ -150,8 +150,10 @@ fn kv_verify_overhead(qlm: &QuantizedLm) -> (f64, u64) {
 /// parity groups off vs the default group size, with verification `Off`
 /// and the scrubber disabled so the incremental XOR fold at page
 /// seal/free time is the *only* difference between the runs.
-/// Interleaved best-of-3; returns the parity-over-off overhead in
-/// percent.
+/// Returns the median over [`PARITY_PAIRS`] interleaved (off, on) pairs
+/// of the per-pair on/off time ratio, as an overhead in percent: one
+/// jittery run moves one ratio, not the result, which a best-of-N
+/// minimum per side would let it decide.
 fn kv_parity_overhead(qlm: &QuantizedLm) -> f64 {
     let run = |parity: Option<usize>| -> f64 {
         let kv = KvPageConfig {
@@ -171,13 +173,27 @@ fn kv_parity_overhead(qlm: &QuantizedLm) -> f64 {
         t.elapsed().as_secs_f64()
     };
     run(None); // warm
-    let (mut best_off, mut best_on) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..3 {
-        best_off = best_off.min(run(None));
-        best_on = best_on.min(run(Some(DEFAULT_KV_PARITY)));
-    }
-    (best_on / best_off.max(1e-9) - 1.0) * 100.0
+    let mut ratios: Vec<f64> = (0..PARITY_PAIRS)
+        .map(|i| {
+            // Alternate which side of the pair runs first, so a host
+            // load that drifts during the phase favours neither side.
+            let (off, on) = if i % 2 == 0 {
+                let off = run(None);
+                (off, run(Some(DEFAULT_KV_PARITY)))
+            } else {
+                let on = run(Some(DEFAULT_KV_PARITY));
+                (run(None), on)
+            };
+            on / off.max(1e-9)
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    (ratios[PARITY_PAIRS / 2] - 1.0) * 100.0
 }
+
+/// Interleaved (parity off, parity on) pairs behind the parity
+/// overhead median; odd, so the median is one pair's ratio.
+const PARITY_PAIRS: usize = 15;
 
 /// Repair-latency microbenchmark: a sequence with a 64-token committed
 /// prefix (block 16 → four sealed pages in one parity group) takes one

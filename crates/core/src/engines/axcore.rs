@@ -11,12 +11,12 @@ use crate::engines::{lut, GemmEngine, LutPolicy, PreparedGemm};
 use crate::error::GemmError;
 use crate::pe::{Pe, WeightLane};
 use crate::preadd::{PreAdd, PreAddTerm};
-use crate::reliability::{self, Verifier};
+use crate::reliability::{self, faults, Verifier};
 use axcore_fpma::snc::SncPolicy;
 use axcore_fpma::MpFpma;
 use axcore_parallel::{arena, Tier};
 use axcore_quant::{CodePlanes, QuantFormat, QuantizedMatrix};
-use axcore_softfloat::FpFormat;
+use axcore_softfloat::{FpFormat, FP16};
 
 /// Stand-in addend for a [`WeightLane`] variant whose product is zero
 /// (Guard zero / SNC tie rounding a subnormal away): so negative that
@@ -398,21 +398,24 @@ struct AxScratch {
     terms: arena::ArenaVec<PreAddTerm>,
 }
 
-/// Per-worker LUT-tier table: encoded activation bits plus one pre-split
-/// product per (unit, activation element, weight code), laid out
-/// `(unit * k + kk) * code_space + code`. Each entry packs
-/// [`PreparedProduct`] into a single word — `exp` in the high 32 bits,
-/// `inc` in the low 32 (it fits: `|inc| < 2^(man_bits + 3)` and every
-/// activation format has `man_bits ≤ 28`) — so the gather issues one
-/// 8-byte load per MAC and a group's live segments stay L1-resident.
+/// Per-worker LUT-tier tables for one block of up to [`LUT_ROWS`] rows:
+/// one pre-split product per (row slot, unit, activation element, weight
+/// code), each slot's table laid out `(unit * k + kk) * code_space +
+/// code`, plus the encoded activation bits of the row being built. The
+/// byte-plane layout packs [`PreparedProduct`] into a single i64 word —
+/// `exp` in the high 32 bits, `inc` in the low 32 (it fits: `|inc| <
+/// 2^(man_bits + 3)` and every activation format has `man_bits ≤ 28`) —
+/// so the gather issues one 8-byte load per MAC and a group's live
+/// segments stay L1-resident.
 ///
 /// Arena-recycled like [`AxScratch`]: the build rewrites, per element,
 /// the first `unit_cs[u]` codes of every (group-selected unit, element)
-/// row, and the gather reads only those slots (codes are validated
-/// against each unit's space at quantization/plane-build time), so stale
-/// entries from a previous call are never observed. The one exception —
-/// units with a narrower code space than the table stride — is handled
-/// at take time with an explicit zero fill.
+/// row of its slot, and the gather reads only those slots of the rows it
+/// built (codes are validated against each unit's space at
+/// quantization/plane-build time), so stale entries from a previous call
+/// are never observed. The one exception — units with a narrower code
+/// space than the table stride — is handled at take time with an
+/// explicit zero fill.
 struct AxLutTable {
     bits: arena::ArenaVec<u32>,
     /// Byte-plane gather entries, `(exp << 32) | inc` packed — empty for
@@ -422,11 +425,18 @@ struct AxLutTable {
     /// i32 — packed planes are only selected when the activation format
     /// guarantees both fields fit (exponent field ≤ 255, `man_bits ≤ 12`
     /// so `|inc| < 2^15`). Quarter the bytes of the i64 layout: a unit's
-    /// per-group segment drops to 4 KB (L1-resident), and the 8-lane
-    /// AVX2 gather reads whole entries with one `vpgatherdd`. Empty for
-    /// byte-plane engines.
+    /// per-group segment drops to 8 KB, and one k-step's 16 entries are
+    /// one zmm for the vector kernel's permute. Empty for byte-plane
+    /// engines.
     tcomb: arena::ArenaVec<i32>,
 }
+
+/// Rows the vector LUT kernel folds per decoded code block (the AVX-LUT
+/// rung's `drive_lut` block): each 16-step code word feeds this many
+/// independent accumulator chains, so the decode and the loop overhead
+/// are paid once per block instead of once per row.
+const LUT_ROWS: usize = 8;
+const _: () = assert!(LUT_ROWS <= axcore_simd::LUT_MAX_ROWS);
 
 /// Unpack one packed LUT entry back into the partial adder's operands.
 #[inline(always)]
@@ -513,7 +523,7 @@ impl Ladder for AxCorePrepared {
         // Per-element table width: every unit × its padded code space.
         if !lut::use_lut(policy, self.n, self.units.len() * self.code_space) {
             &[]
-        } else if self.planes.is_packed() && self.avx2_gather_eligible() {
+        } else if self.planes.is_packed() && self.lut_kernel_eligible() {
             &[Tier::Avx2Lut, Tier::SwarLut]
         } else {
             &[Tier::SwarLut]
@@ -624,14 +634,8 @@ impl AxCorePrepared {
                             &col_lanes[kk],
                         );
                     }
-                    let o_bits = self.norm.normalize(&pacc);
-                    let scaled = if self.fpma_dequant {
-                        self.act.decode(self.axscale.apply(o_bits, self.scales[g * n + col]))
-                    } else {
-                        self.act.decode(o_bits) * self.scale_vals[g * n + col]
-                    };
                     // FP32 final accumulator (Fig. 8, bottom).
-                    acc_out += scaled as f32;
+                    acc_out += self.finish(&pacc, g, col);
                 }
                 *o = acc_out;
             }
@@ -646,15 +650,17 @@ impl AxCorePrepared {
     /// same ascending-k order per group, so results are bit-identical by
     /// construction.
     ///
-    /// `allow_avx2` gates the AVX2 gather kernel so the tier ladder can
-    /// address the SWAR fallback explicitly (a quarantined AVX2 tier must
-    /// not be re-entered through the generic dispatch).
-    fn gemm_lut(&self, a: &[f32], m: usize, out: &mut [f32], threads: usize, allow_avx2: bool) {
+    /// `vector` selects the vector kernel (the `Avx2Lut` rung, blocks of
+    /// [`LUT_ROWS`] rows) so the tier ladder can address the SWAR
+    /// fallback explicitly (a quarantined vector tier must not be
+    /// re-entered through the generic dispatch).
+    fn gemm_lut(&self, a: &[f32], m: usize, out: &mut [f32], threads: usize, vector: bool) {
         let (k, n) = (self.k, self.n);
         let gs = self.group_size;
         let groups = k / gs;
         let cs = self.code_space;
         let nu = self.units.len();
+        let row_len = nu * k * cs;
         // The PE's clamp bounds in the activation's integer domain.
         let min_normal = 1i64 << self.act.man_bits;
         let max_mag =
@@ -666,20 +672,20 @@ impl AxCorePrepared {
         // which the quantizer never produces); zero-fill in that case.
         let needs_zero_fill = self.unit_cs.iter().any(|&ucs| ucs < cs);
         let packed = self.planes.is_packed();
-        let mk_table = || AxLutTable {
+        let mk_table = |rows: usize| AxLutTable {
             bits: arena::take(k, 0u32),
             tbl: match (packed, needs_zero_fill) {
                 (true, _) => arena::take(0, 0i64),
-                (false, true) => arena::take_filled(nu * k * cs, 0i64),
-                (false, false) => arena::take(nu * k * cs, 0i64),
+                (false, true) => arena::take_filled(rows * row_len, 0i64),
+                (false, false) => arena::take(rows * row_len, 0i64),
             },
             tcomb: match (packed, needs_zero_fill) {
                 (false, _) => arena::take(0, 0i32),
-                (true, true) => arena::take_filled(nu * k * cs, 0i32),
-                (true, false) => arena::take(nu * k * cs, 0i32),
+                (true, true) => arena::take_filled(rows * row_len, 0i32),
+                (true, false) => arena::take(rows * row_len, 0i32),
             },
         };
-        let build = |t: &mut AxLutTable, i: usize, col0: usize, ncols: usize| {
+        let build = |t: &mut AxLutTable, slot: usize, i: usize, col0: usize, ncols: usize| {
             for (kk, &av) in a[i * k..(i + 1) * k].iter().enumerate() {
                 t.bits[kk] = self.act.encode(av as f64);
             }
@@ -697,7 +703,7 @@ impl AxCorePrepared {
                     let signs = &self.code_signs[u * cs..u * cs + ucs];
                     for kk in g * gs..(g + 1) * gs {
                         let term = preadd.term(t.bits[kk]);
-                        let base = (u * k + kk) * cs;
+                        let base = slot * row_len + (u * k + kk) * cs;
                         if packed {
                             // Combined i32 entries: `(exp << 16) | inc`
                             // as u16 halves — both fit by the packed-
@@ -765,35 +771,40 @@ impl AxCorePrepared {
         // bit-identical by construction and the packed-vs-byte gather
         // test pins it.
         if self.act.max_exp_field() < 64 {
-            let gather = |t: &AxLutTable, _i: usize, col0: usize, cols: &mut [f32]| {
-                if self.planes.is_packed() {
-                    if allow_avx2 && self.avx2_gather_eligible() {
-                        self.lut_gather_cols_packed_avx2(t, col0, cols);
-                        return;
-                    }
-                    self.lut_gather_cols_packed(t, col0, cols, |acc, e| {
+            if packed && vector && self.lut_kernel_eligible() {
+                let gather = |t: &AxLutTable, rows: usize, col0: usize, block: &mut [f32]| {
+                    self.lut_gather_cols_kernel(&t.tcomb[..rows * row_len], row_len, col0, block);
+                };
+                drive_lut(m, k, n, self.block_cols, threads, LUT_ROWS, out, mk_table, build, gather);
+                return;
+            }
+            let gather = |t: &AxLutTable, _rows: usize, col0: usize, cols: &mut [f32]| {
+                if packed {
+                    self.lut_gather_cols_packed(&t.tcomb, col0, cols, |acc, e| {
                         acc.add_prepared_unclamped_seq(split_entry(e))
                     });
                 } else {
-                    self.lut_gather_cols_bytes(t, col0, cols, |acc, e| {
+                    self.lut_gather_cols_bytes(&t.tbl, col0, cols, |acc, e| {
                         acc.add_prepared_unclamped(unpack_entry(e))
                     });
                 }
             };
-            drive_lut(m, k, n, self.block_cols, threads, out, mk_table, build, gather);
+            // The scalar gathers take one row per block: the table is
+            // one slot.
+            drive_lut(m, k, n, self.block_cols, threads, 1, out, mk_table, build, gather);
         } else {
-            let gather = |t: &AxLutTable, _i: usize, col0: usize, cols: &mut [f32]| {
-                if self.planes.is_packed() {
-                    self.lut_gather_cols_packed(t, col0, cols, |acc, e| {
+            let gather = |t: &AxLutTable, _rows: usize, col0: usize, cols: &mut [f32]| {
+                if packed {
+                    self.lut_gather_cols_packed(&t.tcomb, col0, cols, |acc, e| {
                         acc.add_prepared(split_entry(e))
                     });
                 } else {
-                    self.lut_gather_cols_bytes(t, col0, cols, |acc, e| {
+                    self.lut_gather_cols_bytes(&t.tbl, col0, cols, |acc, e| {
                         acc.add_prepared(unpack_entry(e))
                     });
                 }
             };
-            drive_lut(m, k, n, self.block_cols, threads, out, mk_table, build, gather);
+            drive_lut(m, k, n, self.block_cols, threads, 1, out, mk_table, build, gather);
         }
     }
 
@@ -832,7 +843,7 @@ impl AxCorePrepared {
     /// does not change any result bit.
     fn lut_gather_cols_bytes(
         &self,
-        t: &AxLutTable,
+        tbl: &[i64],
         col0: usize,
         cols: &mut [f32],
         add: impl Fn(&mut PartialAcc, i64) + Copy,
@@ -843,22 +854,13 @@ impl AxCorePrepared {
         let groups = k / gs;
         let nbc = n / self.block_cols;
         let cs = self.code_space;
-        let finish = |pacc: &PartialAcc, g: usize, col: usize| -> f32 {
-            let o_bits = self.norm.normalize(pacc);
-            let scaled = if self.fpma_dequant {
-                self.act.decode(self.axscale.apply(o_bits, self.scales[g * n + col]))
-            } else {
-                self.act.decode(o_bits) * self.scale_vals[g * n + col]
-            };
-            scaled as f32
-        };
         // This worker's contiguous slice of the code planes: all plane
         // reads below stay provably inside the shard's columns.
         let planes = self.planes.shard(col0, cols.len());
         let seg_of = |g: usize, col: usize| {
             let u = self.block_unit[g * nbc + col / self.block_cols] as usize;
             let r = (u * k + g * gs) * cs..(u * k + (g + 1) * gs) * cs;
-            (&t.tbl[r], &planes.plane(col)[g * gs..(g + 1) * gs])
+            (&tbl[r], &planes.plane(col)[g * gs..(g + 1) * gs])
         };
         cols.fill(0.0);
         for g in 0..groups {
@@ -907,7 +909,7 @@ impl AxCorePrepared {
                     add(&mut a3, es3[off + (cd3[gs - 1] as usize & (cs - 1))]);
                 }
                 for (l, acc) in [a0, a1, a2, a3].iter().enumerate() {
-                    cols[j + l] += finish(acc, g, col0 + j + l);
+                    cols[j + l] += self.finish(acc, g, col0 + j + l);
                 }
                 j += LANES;
             }
@@ -918,7 +920,7 @@ impl AxCorePrepared {
                 for (row, &c) in es.chunks_exact(cs).zip(cd) {
                     add(&mut pacc, row[c as usize & (cs - 1)]);
                 }
-                *o += finish(&pacc, g, col0 + jj);
+                *o += self.finish(&pacc, g, col0 + jj);
             }
         }
     }
@@ -934,10 +936,10 @@ impl AxCorePrepared {
     /// k, so results are bit-identical to the byte-plane gather.
     ///
     /// This is the portable scalar form; on x86-64 with AVX2 the decode
-    /// hot path takes [`Self::lut_gather_cols_packed_avx2`] instead.
+    /// hot path takes [`Self::lut_gather_cols_kernel`] instead.
     fn lut_gather_cols_packed(
         &self,
-        t: &AxLutTable,
+        tcomb: &[i32],
         col0: usize,
         cols: &mut [f32],
         add: impl Fn(&mut PartialAcc, i32) + Copy,
@@ -953,15 +955,6 @@ impl AxCorePrepared {
         // code space is exactly 16 — so a nibble can never index past a
         // table row.
         debug_assert!(cs >= 16, "packed planes imply a 16-entry code space");
-        let finish = |pacc: &PartialAcc, g: usize, col: usize| -> f32 {
-            let o_bits = self.norm.normalize(pacc);
-            let scaled = if self.fpma_dequant {
-                self.act.decode(self.axscale.apply(o_bits, self.scales[g * n + col]))
-            } else {
-                self.act.decode(o_bits) * self.scale_vals[g * n + col]
-            };
-            scaled as f32
-        };
         // This worker's contiguous slice of the nibble-packed planes.
         let planes = self.planes.shard(col0, cols.len());
         // A group's table segment (gs rows of cs entries) and its packed
@@ -969,7 +962,7 @@ impl AxCorePrepared {
         let seg_of = |g: usize, col: usize| {
             let u = self.block_unit[g * nbc + col / self.block_cols] as usize;
             let r = (u * k + g * gs) * cs..(u * k + (g + 1) * gs) * cs;
-            (&t.tcomb[r], &planes.plane(col)[g * gs / 2..(g + 1) * gs / 2])
+            (&tcomb[r], &planes.plane(col)[g * gs / 2..(g + 1) * gs / 2])
         };
         // One 4-lane tile of one group: 16 k-steps per u64 code load.
         // Every `try_into().unwrap()` below converts a slice whose length
@@ -1044,7 +1037,7 @@ impl AxCorePrepared {
                 add(&mut a3, es3[row + cs + ((b3 >> 4) & cmask)]);
             }
             for (l, acc) in [a0, a1, a2, a3].iter().enumerate() {
-                cols[j + l] += finish(acc, g, col0 + j + l);
+                cols[j + l] += self.finish(acc, g, col0 + j + l);
             }
         };
         cols.fill(0.0);
@@ -1084,97 +1077,142 @@ impl AxCorePrepared {
                     add(&mut pacc, es[row + (byte as usize & 0xf & cmask)]);
                     add(&mut pacc, es[row + cs + ((byte as usize >> 4) & cmask)]);
                 }
-                *col += finish(&pacc, g, col0 + jj);
+                *col += self.finish(&pacc, g, col0 + jj);
             }
         }
     }
 
-    /// Whether the decode hot path can take the 8-lane AVX2 gather in
+    /// Whether the decode hot path can take the vector LUT kernel in
     /// [`axcore_simd`]: requires the standard 16-entry code space, a
     /// group depth that fills whole u64 code words, accumulator
     /// significands that provably fit the kernel's i32 lanes
-    /// (`gs · 2^(man_bits+3)` bounds the running sum), runtime AVX2
-    /// support, and a passing one-shot kernel self-test (a faulty vector
-    /// unit demotes the tier instead of corrupting silently).
-    fn avx2_gather_eligible(&self) -> bool {
+    /// (`gs · 2^(man_bits+3)` bounds the running sum), a vector body the
+    /// CPU runs (AVX-512 or AVX2), and a passing one-shot kernel self
+    /// test (a faulty vector unit demotes the tier instead of corrupting
+    /// silently).
+    fn lut_kernel_eligible(&self) -> bool {
         self.code_space == 16
             && self.group_size.is_multiple_of(16)
             && (self.group_size as u64) << (self.act.man_bits + 3) <= 1 << 31
-            && axcore_simd::avx2_available()
-            && axcore_simd::self_test()
+            && axcore_simd::lut_body() != axcore_simd::LutBody::Scalar
     }
 
-    /// AVX2 form of [`Self::lut_gather_cols_packed`]: eight columns per
-    /// tile, with the per-step table lookups fused into one
-    /// `vpgatherdd` over the combined i32 entry plane and the partial
-    /// adder run branchlessly in 8 × i32 vector lanes (see
-    /// [`axcore_simd::gather_group`] for the bit-identity argument).
-    /// Tiles sweep in plain ascending order: at 4 bytes per entry all
-    /// units' segments for one group fit L1 together, so the scalar
-    /// path's unit-ordered visit is unnecessary here.
-    fn lut_gather_cols_packed_avx2(&self, t: &AxLutTable, col0: usize, cols: &mut [f32]) {
-        const LANES: usize = 8;
+    /// Vector form of [`Self::lut_gather_cols_packed`] over a block of
+    /// stacked rows (`block` is `rows × cols`, row `r`'s table in slot
+    /// `r` of `tcomb`): per group, tiles of up to
+    /// [`axcore_simd::LUT_LANES`] columns fold through
+    /// [`axcore_simd::lut_fold_fp16`] (or [`axcore_simd::lut_fold`] plus
+    /// the scalar finish), up to [`LUT_ROWS`] rows per decoded code
+    /// block. Each column still gets one `+=` per group in ascending-g
+    /// order, so the result bits equal the scalar gathers'.
+    ///
+    /// The group partials are finished in the kernel's lanes when the
+    /// activation format is FP16 under FPMA dequantization; the exact
+    /// dequant ablation and any armed fault plan (whose accumulator tap
+    /// sits in [`NormUnit::normalize`]) take the scalar finish.
+    fn lut_gather_cols_kernel(&self, tcomb: &[i32], row_len: usize, col0: usize, block: &mut [f32]) {
+        use axcore_simd::{Fp16Finish, LutGroup, LUT_LANES};
         let (k, n) = (self.k, self.n);
         let gs = self.group_size;
-        let groups = k / gs;
         let nbc = n / self.block_cols;
-        let cs = self.code_space;
-        debug_assert!(cs == 16 && gs.is_multiple_of(16));
-        let finish = |pacc: &PartialAcc, g: usize, col: usize| -> f32 {
-            let o_bits = self.norm.normalize(pacc);
-            let scaled = if self.fpma_dequant {
-                self.act.decode(self.axscale.apply(o_bits, self.scales[g * n + col]))
-            } else {
-                self.act.decode(o_bits) * self.scale_vals[g * n + col]
+        let rows = tcomb.len() / row_len;
+        let cols = block.len() / rows;
+        let in_lane = self.act == FP16 && self.fpma_dequant && !faults::armed();
+        let c2 = self.axscale.c2();
+        let planes = self.planes.shard(col0, cols);
+        let unit_of = |g: usize, col: usize| self.block_unit[g * nbc + col / self.block_cols] as usize;
+        let tiles = cols.div_ceil(LUT_LANES);
+        block.fill(0.0);
+        for g in 0..k / gs {
+            // One tile of up to `LUT_LANES` columns from `j`, all rows.
+            let mut run_tile = |j: usize| {
+                let lanes = LUT_LANES.min(cols - j);
+                let mut bases = [0usize; LUT_LANES];
+                for (l, b) in bases[..lanes].iter_mut().enumerate() {
+                    *b = (unit_of(g, col0 + j + l) * k + g * gs) * 16;
+                }
+                let grp = LutGroup {
+                    codes: &planes.bytes()[planes.offset_of(col0 + j) + g * gs / 2..],
+                    stride: self.planes.plane_stride(),
+                    lanes,
+                    depth: gs,
+                    bases,
+                };
+                let fin = Fp16Finish { scales: &self.scales[g * n + col0 + j..], c2 };
+                let (out, col) = (&mut block[j..], col0 + j);
+                // One monomorphized kernel per block height: all the
+                // block's rows share each decoded code word.
+                match rows {
+                    1 => self.lut_tile::<1>(tcomb, row_len, &grp, in_lane, &fin, out, cols, g, col),
+                    2 => self.lut_tile::<2>(tcomb, row_len, &grp, in_lane, &fin, out, cols, g, col),
+                    3 => self.lut_tile::<3>(tcomb, row_len, &grp, in_lane, &fin, out, cols, g, col),
+                    4 => self.lut_tile::<4>(tcomb, row_len, &grp, in_lane, &fin, out, cols, g, col),
+                    5 => self.lut_tile::<5>(tcomb, row_len, &grp, in_lane, &fin, out, cols, g, col),
+                    6 => self.lut_tile::<6>(tcomb, row_len, &grp, in_lane, &fin, out, cols, g, col),
+                    7 => self.lut_tile::<7>(tcomb, row_len, &grp, in_lane, &fin, out, cols, g, col),
+                    _ => self.lut_tile::<LUT_ROWS>(tcomb, row_len, &grp, in_lane, &fin, out, cols, g, col),
+                }
             };
-            scaled as f32
-        };
-        // This worker's contiguous slice of the nibble-packed planes:
-        // the vector kernel receives only these bytes, so a lane can
-        // never gather codes from another shard's columns.
-        let planes = self.planes.shard(col0, cols.len());
-        cols.fill(0.0);
-        let full_tiles = cols.len() / LANES;
-        for g in 0..groups {
-            let seg0 = g * gs / 2;
-            let seg_len = gs / 2;
-            for tile in 0..full_tiles {
-                let j = tile * LANES;
-                let mut bases = [0i32; LANES];
-                let mut offsets = [0usize; LANES];
-                for (l, base) in bases.iter_mut().enumerate() {
-                    let col = col0 + j + l;
-                    let u = self.block_unit[g * nbc + col / self.block_cols] as usize;
-                    *base = ((u * k + g * gs) * cs) as i32;
-                    offsets[l] = planes.offset_of(col) + seg0;
+            // Tile visit order grouped by the unit of each tile's first
+            // column, so one unit's table segments stay cache-hot across
+            // every tile that reads them (see the SWAR gather).
+            if self.units.len() > 1 {
+                for u_pass in 0..self.units.len() {
+                    for tile in 0..tiles {
+                        if unit_of(g, col0 + tile * LUT_LANES) == u_pass {
+                            run_tile(tile * LUT_LANES);
+                        }
+                    }
                 }
-                let (sig, exp) = axcore_simd::gather_group_planes(
-                    &t.tcomb,
-                    &bases,
-                    planes.bytes(),
-                    &offsets,
-                    seg_len,
-                );
-                for l in 0..LANES {
-                    let acc = PartialAcc::from_parts(exp[l], sig[l] as i64, self.act);
-                    cols[j + l] += finish(&acc, g, col0 + j + l);
+            } else {
+                for tile in 0..tiles {
+                    run_tile(tile * LUT_LANES);
                 }
-            }
-            // Remainder columns (< LANES) run the scalar seq chain on
-            // the same entries.
-            for (jj, col) in cols.iter_mut().enumerate().skip(full_tiles * LANES) {
-                let u = self.block_unit[g * nbc + (col0 + jj) / self.block_cols] as usize;
-                let es = &t.tcomb[(u * k + g * gs) * cs..(u * k + (g + 1) * gs) * cs];
-                let cd = &planes.plane(col0 + jj)[g * gs / 2..(g + 1) * gs / 2];
-                let mut pacc = PartialAcc::new(self.act);
-                for (bi, &byte) in cd.iter().enumerate() {
-                    let row = 2 * bi * cs;
-                    pacc.add_prepared_unclamped_seq(split_entry(es[row + (byte as usize & 0xf)]));
-                    pacc.add_prepared_unclamped_seq(split_entry(es[row + cs + (byte as usize >> 4)]));
-                }
-                *col += finish(&pacc, g, col0 + jj);
             }
         }
+    }
+
+    /// One kernel call: group `g` (`grp`) of one tile for the block's
+    /// `R` rows (row `r`'s table in slot `r` of `tcomb`), added into
+    /// `out` (row `r` at `out[r · stride ..]`, column `col` first).
+    #[allow(clippy::too_many_arguments)]
+    fn lut_tile<const R: usize>(
+        &self,
+        tcomb: &[i32],
+        row_len: usize,
+        grp: &axcore_simd::LutGroup<'_>,
+        in_lane: bool,
+        fin: &axcore_simd::Fp16Finish<'_>,
+        out: &mut [f32],
+        stride: usize,
+        g: usize,
+        col: usize,
+    ) {
+        let tables: [&[i32]; R] = std::array::from_fn(|r| &tcomb[r * row_len..(r + 1) * row_len]);
+        if in_lane {
+            axcore_simd::lut_fold_fp16(&tables, grp, fin, out, stride);
+            return;
+        }
+        for (r, acc) in axcore_simd::lut_fold(&tables, grp).iter().enumerate() {
+            for l in 0..grp.lanes {
+                let pacc = PartialAcc::from_parts(acc.exp[l], acc.sig[l] as i64, self.act);
+                out[r * stride + l] += self.finish(&pacc, g, col + l);
+            }
+        }
+    }
+
+    /// The scalar finish of one group partial of column `col`: shared
+    /// normalization, then AxScale (or the exact dequant ablation), as
+    /// the f32 the column accumulates.
+    fn finish(&self, pacc: &PartialAcc, g: usize, col: usize) -> f32 {
+        let o_bits = self.norm.normalize(pacc);
+        let i = g * self.n + col;
+        let scaled = if self.fpma_dequant {
+            self.act.decode(self.axscale.apply(o_bits, self.scales[i]))
+        } else {
+            self.act.decode(o_bits) * self.scale_vals[i]
+        };
+        scaled as f32
     }
 }
 
@@ -1368,6 +1406,36 @@ mod tests {
             o1.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             o2.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
         );
+    }
+
+    /// The vector kernel's FP16 finish reference
+    /// (`axcore_simd::scalar_finish_fp16`) equals the engine's scalar
+    /// finish — shared normalization, AxScale with and without
+    /// compensation, FP16 decode — on random accumulator states that
+    /// cover rounding, saturation and flush, and every scale pattern.
+    #[test]
+    fn kernel_fp16_finish_matches_the_engine_finish() {
+        let norm = NormUnit::new(FP16);
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for axscale in [AxScale::new(FP16), AxScale::new(FP16).without_compensation()] {
+            for _ in 0..200_000 {
+                let r = next();
+                // |sig| < 2^31: the engine's lane bound.
+                let sig = ((r as i32) >> ((r >> 32) % 31)).max(-i32::MAX);
+                let exp = ((r >> 40) % 48) as i32;
+                let scale = (r >> 48) as u16;
+                let acc = PartialAcc::from_parts(exp, sig as i64, FP16);
+                let want = FP16.decode(axscale.apply(norm.normalize(&acc), scale)) as f32;
+                let got = axcore_simd::scalar_finish_fp16(sig, exp, scale, axscale.c2());
+                assert_eq!(got.to_bits(), want.to_bits(), "sig {sig} exp {exp} scale {scale:#x}");
+            }
+        }
     }
 
     #[test]

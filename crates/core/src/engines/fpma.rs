@@ -251,12 +251,12 @@ impl FpmaPrepared {
         let (k, n) = (self.k, self.n);
         let np = self.palette.len();
         let mk_table =
-            || FpmaLutTable { arow: arena::take(k, 0u32), tbl: arena::take(k * np, 0u32) };
+            |_rows: usize| FpmaLutTable { arow: arena::take(k, 0u32), tbl: arena::take(k * np, 0u32) };
         // The product table is palette-global (one entry per distinct
         // weight pattern), so a shard cannot build less than all of it;
         // the column range is ignored and each shard builds the full
         // table in its own arena slot, in parallel.
-        let build = |t: &mut FpmaLutTable, i: usize, _col0: usize, _ncols: usize| {
+        let build = |t: &mut FpmaLutTable, _slot: usize, i: usize, _col0: usize, _ncols: usize| {
             for (kk, &av) in a[i * k..(i + 1) * k].iter().enumerate() {
                 t.arow[kk] = self.act.encode(av as f64);
             }
@@ -267,7 +267,7 @@ impl FpmaPrepared {
                 }
             }
         };
-        let gather = |t: &FpmaLutTable, _i: usize, col0: usize, cols: &mut [f32]| {
+        let gather = |t: &FpmaLutTable, _rows: usize, col0: usize, cols: &mut [f32]| {
             for (j, o) in cols.iter_mut().enumerate() {
                 let c = col0 + j;
                 let idxs = &self.pidx[c * k..(c + 1) * k];
@@ -280,7 +280,9 @@ impl FpmaPrepared {
                 *o = self.acc_fmt.decode(acc_bits) as f32;
             }
         };
-        drive_lut(m, k, n, 1, threads, out, mk_table, build, gather);
+        // One row per block: the gather shares nothing across rows, so the
+        // one table slot is rebuilt per row and each block is one row.
+        drive_lut(m, k, n, 1, threads, 1, out, mk_table, build, gather);
     }
 }
 

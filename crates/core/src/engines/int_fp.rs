@@ -263,12 +263,12 @@ impl IntFpPrepared {
         let span = 2 * vmax as usize + 2;
         let vlo = vmax + 1;
         let mk_table =
-            || IntFpLutTable { arow: arena::take(k, 0f64), tbl: arena::take(k * span, 0f64) };
+            |_rows: usize| IntFpLutTable { arow: arena::take(k, 0f64), tbl: arena::take(k * span, 0f64) };
         // The product table is activation-only (one row of `span` entries
         // per k element), independent of which columns gather from it, so
         // the shard's column range is ignored: each shard builds the full
         // table in its own arena slot, in parallel.
-        let build = |t: &mut IntFpLutTable, i: usize, _col0: usize, _ncols: usize| {
+        let build = |t: &mut IntFpLutTable, _slot: usize, i: usize, _col0: usize, _ncols: usize| {
             for (kk, &av) in a[i * k..(i + 1) * k].iter().enumerate() {
                 t.arow[kk] = self.act.quantize(av as f64);
             }
@@ -287,7 +287,7 @@ impl IntFpPrepared {
         // The `try_into().unwrap()` below converts an exactly-8-byte
         // slice, so it cannot fail.
         #[allow(clippy::unwrap_used)]
-        let gather = |t: &IntFpLutTable, _i: usize, col0: usize, cols: &mut [f32]| {
+        let gather = |t: &IntFpLutTable, _rows: usize, col0: usize, cols: &mut [f32]| {
             // This worker's contiguous slice of the offset planes.
             let planes = self.planes.shard(col0, cols.len());
             for (j, o) in cols.iter_mut().enumerate() {
@@ -327,7 +327,9 @@ impl IntFpPrepared {
                 *o = acc;
             }
         };
-        drive_lut(m, k, n, 1, threads, out, mk_table, build, gather);
+        // One row per block: the gather shares nothing across rows, so the
+        // one table slot is rebuilt per row and each block is one row.
+        drive_lut(m, k, n, 1, threads, 1, out, mk_table, build, gather);
     }
 }
 

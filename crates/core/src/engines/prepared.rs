@@ -56,7 +56,7 @@ use crate::engines::w4a8::W4a8Prep;
 use crate::engines::{act, LutPolicy};
 use crate::error::GemmError;
 use crate::reliability::Verifier;
-use axcore_parallel::{health, FailReason, Tier};
+use axcore_parallel::{arena, health, FailReason, Tier};
 
 /// A weight matrix preloaded into one engine's stationary form.
 ///
@@ -232,20 +232,26 @@ pub(crate) fn drive<S, MkS, F>(
 
 /// Drive a LUT-tier GEMM kernel over the output, sharded by columns.
 ///
-/// Like [`drive`], but each row's work is split into a table **build**
-/// (`build(table, row, col0, cols)` — the per-activation-element product
-/// tables, amortized over the columns `col0 .. col0 + cols` the worker
-/// will gather) and a column **gather** (`gather(table, row, col0, cols)`
-/// — pure table lookups + accumulate).
+/// Like [`drive`], but rows are walked in blocks of up to `block_rows`
+/// and each block's work is split into table **builds**
+/// (`build(tables, slot, row, col0, cols)` — one row's
+/// per-activation-element product tables into table slot `slot`,
+/// amortized over the columns `col0 .. col0 + cols` the worker will
+/// gather) and one column **gather** over the whole block
+/// (`gather(tables, rows, col0, block)` — pure table lookups +
+/// accumulate into `block`, the block's `rows × cols` outputs
+/// row-major, row `r` built in slot `r`). A kernel that folds several
+/// rows per decoded weight code gets them together; engines whose
+/// gather shares nothing across rows pass `block_rows = 1`.
+/// `mk_table(rows)` makes tables for up to `rows` slots.
 ///
-/// Each shard builds the row table **in its own arena slot** restricted
-/// to its column range (engines whose table segments are per-format-unit
+/// Each shard builds its tables **in its own arena slot** restricted to
+/// its column range (engines whose table segments are per-format-unit
 /// build only the units their columns reference; engines with global
-/// tables ignore the range). That moves the build onto the parallel
-/// region — the pre-shard dispatch built one shared table serially on
-/// the submitting thread — and the stable shard→thread affinity keeps
-/// each shard's table in the same thread-local arena call after call, so
-/// steady-state decode still allocates nothing.
+/// tables ignore the range). That keeps the build on the parallel
+/// region, and the stable shard→thread affinity keeps each shard's
+/// tables (and its block buffer) in the same thread-local arena call
+/// after call, so steady-state decode still allocates nothing.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn drive_lut<T, MkT, B, G>(
     m: usize,
@@ -253,35 +259,58 @@ pub(crate) fn drive_lut<T, MkT, B, G>(
     n: usize,
     col_align: usize,
     threads: usize,
+    block_rows: usize,
     out: &mut [f32],
     mk_table: MkT,
     build: B,
     gather: G,
 ) where
     T: Send + Sync,
-    MkT: Fn() -> T + Sync,
-    B: Fn(&mut T, usize, usize, usize) + Sync,
+    MkT: Fn(usize) -> T + Sync,
+    B: Fn(&mut T, usize, usize, usize, usize) + Sync,
     G: Fn(&T, usize, usize, &mut [f32]) + Sync,
 {
     if m == 0 || n == 0 {
         return;
     }
+    let block_rows = block_rows.clamp(1, m);
     let plan = shard_plan(m, k, n, col_align, threads);
     if plan.num_shards() <= 1 {
-        let mut table = mk_table();
-        for (i, row_out) in out.chunks_mut(n).enumerate() {
-            crate::kmetrics::record_lut_build(|| build(&mut table, i, 0, n));
-            gather(&table, i, 0, row_out);
+        let mut tables = mk_table(block_rows);
+        for row0 in (0..m).step_by(block_rows) {
+            let rows = block_rows.min(m - row0);
+            for slot in 0..rows {
+                crate::kmetrics::record_lut_build(|| build(&mut tables, slot, row0 + slot, 0, n));
+            }
+            // Serial rows are contiguous: the block is a slice of `out`.
+            gather(&tables, rows, 0, &mut out[row0 * n..(row0 + rows) * n]);
         }
         return;
     }
-    axcore_parallel::par_shards_with(out, m, &plan, &mk_table, |t, sh, view| {
-        for i in 0..m {
+    let mk_scratch = || {
+        let buf = arena::take(if block_rows > 1 { block_rows * n } else { 0 }, 0f32);
+        (mk_table(block_rows), buf)
+    };
+    axcore_parallel::par_shards_with(out, m, &plan, mk_scratch, |(tables, buf), sh, view| {
+        for row0 in (0..m).step_by(block_rows) {
             if axcore_parallel::cancel_requested() {
                 return;
             }
-            crate::kmetrics::record_lut_build(|| build(t, i, sh.col0, sh.cols));
-            gather(t, i, sh.col0, view.row(i));
+            let rows = block_rows.min(m - row0);
+            for slot in 0..rows {
+                crate::kmetrics::record_lut_build(|| build(tables, slot, row0 + slot, sh.col0, sh.cols));
+            }
+            if rows == 1 {
+                gather(tables, 1, sh.col0, view.row(row0));
+                continue;
+            }
+            // A shard's rows are strided in `out`: gather the block into
+            // the worker's buffer, then write each row back.
+            let block = &mut buf[..rows * sh.cols];
+            gather(tables, rows, sh.col0, block);
+            for (r, src) in block.chunks_exact(sh.cols).enumerate() {
+                view.row(row0 + r).copy_from_slice(src);
+            }
         }
     });
 }

@@ -4,7 +4,7 @@
 //! AxCore's premise is *designed* approximation error (FPMA bias, SNC
 //! rounding). This module gives the stack the means to tell that apart
 //! from *undesigned* error — bit flips in prepared weight state, a bug in
-//! the AVX2 gathers, a worker dying mid-tile. Three mechanisms compose:
+//! the vector LUT kernel, a worker dying mid-tile. Three mechanisms compose:
 //!
 //! * **Integrity checksums** over weight-derived prepared state. A
 //!   sequential mix fold in which every step is a bijection of the
@@ -257,6 +257,13 @@ pub mod faults {
         ARMED.store(false, Ordering::Relaxed);
         *PLAN.lock().unwrap_or_else(PoisonError::into_inner) = None;
         FIRED.load(Ordering::Relaxed)
+    }
+
+    /// Whether a planned fault is armed and has not fired yet. Kernels
+    /// that skip a tap site on their fast path check this to keep the
+    /// tap in the loop while a plan is pending.
+    pub fn armed() -> bool {
+        ARMED.load(Ordering::Relaxed)
     }
 
     /// Whether the armed fault has fired.

@@ -31,7 +31,12 @@ pub enum Tier {
     /// fold-in; opt-in via `AXCORE_ACT` — the only *lossy* tier, so it
     /// sits above the bit-exact ladder and degrades into it).
     W4a8,
-    /// Packed-plane LUT gather via the AVX2 `vpgatherdd` kernel.
+    /// Packed-plane LUT tier on the vector kernel in `axcore-simd`: an
+    /// AVX-512 or AVX2 register-permute table lookup (no memory gather)
+    /// folding up to eight stacked rows per decoded code word, with the
+    /// FP16 group finish in vector lanes. The name (and its `"avx2-lut"`
+    /// report string) predates the AVX-512 body and is kept because
+    /// reports and fault-campaign results are keyed by it.
     Avx2Lut,
     /// Packed-plane LUT gather via the scalar SWAR fold.
     SwarLut,

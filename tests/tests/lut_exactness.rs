@@ -267,3 +267,45 @@ fn pathological_activations_survive_full_verification() {
         }
     }
 }
+
+/// The vector LUT rung at every row-block remainder: m = 1..=9 rows
+/// (one block of 1–8 stacked rows, and 9 = a full 8-row block plus one),
+/// single-unit tiles (`block_cols` 64) and mixed-format tiles of four
+/// units (`block_cols` 4) with a partial last tile (n = 200), serially
+/// and on two workers — byte-identical to the direct kernel. On a host
+/// with a vector kernel body the call must really run on that rung.
+#[test]
+fn vector_lut_rung_row_blocks_bit_exact() {
+    use axcore::engines::ActPolicy;
+    use axcore::VerifyPolicy;
+    use axcore_parallel::{health, Tier};
+    let k = 256;
+    let vector = axcore_simd::lut_body() != axcore_simd::LutBody::Scalar;
+    let engine = AxCoreEngine::new(FP16);
+    for (bc, n) in [(4usize, 200usize), (64, 192)] {
+        let q = GroupQuantizer::adaptive_fp4(64, bc, None).quantize(&weights(k * n, 11, 0.4), k, n);
+        let prepared = engine.prepare(&q);
+        let rows = activations(9 * k, 5);
+        let direct =
+            ExecConfig { threads: 1, lut: LutPolicy::Never, act: ActPolicy::Never, verify: VerifyPolicy::Off };
+        for m in 1..=9 {
+            let a = &rows[..m * k];
+            let mut want = vec![0f32; m * n];
+            with_exec(direct, || prepared.try_gemm(a, m, &mut want).expect("gemm"));
+            for threads in [1usize, 2] {
+                let mut got = vec![f32::NAN; m * n];
+                let cfg = ExecConfig { threads, lut: LutPolicy::Always, verify: VerifyPolicy::Full, ..direct };
+                let ((), report) = health::capture_report(|| {
+                    with_exec(cfg, || prepared.try_gemm(a, m, &mut got).expect("gemm"))
+                });
+                let what = format!("block_cols {bc}, m {m}, threads {threads}");
+                if vector {
+                    assert_eq!(report.map(|r| r.tier), Some(Tier::Avx2Lut), "{what}: {report:?}");
+                }
+                for (j, (w, g)) in want.iter().zip(&got).enumerate() {
+                    assert_eq!(w.to_bits(), g.to_bits(), "{what}, elem {j}: direct {w} != lut {g}");
+                }
+            }
+        }
+    }
+}

@@ -5,9 +5,10 @@
 //! AxCore decode engine, runs a few warmup calls so the per-thread
 //! scratch arena and the prepared-LUT cache are populated, then arms
 //! the counter and asserts that repeated `m = 1` decode calls perform
-//! **zero** heap allocations — on the LUT gather tier
-//! (`LutPolicy::Always`, packed planes + SWAR/AVX2 gather), on the
-//! direct per-MAC tier (`LutPolicy::Never`), and on the W4A8
+//! **zero** heap allocations — on the LUT tier (`LutPolicy::Always`,
+//! packed planes + the vector LUT kernel, also at m = 8 where one block
+//! holds eight row tables), on the direct per-MAC tier
+//! (`LutPolicy::Never`), and on the W4A8
 //! integer-activation tier (`ActPolicy::Always`, the call's Q8 codes,
 //! scales and compensation sums in arena-recycled buffers) at m = 1, 8
 //! and 64.
@@ -144,6 +145,28 @@ fn steady_state_decode_allocates_nothing() {
         .map(|i| (i as u64 * 48271 % 65521) as f32 / 32760.5 - 1.0)
         .collect();
     let mut out_rows = vec![0f32; 64 * n];
+
+    // Stacked LUT decode (m = 8): the vector rung builds one table per
+    // row of its block and gathers sharded blocks through a per-worker
+    // block buffer — all arena-recycled, so just as allocation-free.
+    for threads in [1usize, 4] {
+        let (a, out) = (&rows[..8 * k], &mut out_rows[..8 * n]);
+        with_exec(ExecConfig { threads, lut: LutPolicy::Always, ..current_exec() }, || {
+            for _ in 0..3 {
+                prepared.try_gemm(a, 8, out).expect("gemm");
+            }
+            let count = allocations_during(|| {
+                for _ in 0..50 {
+                    prepared.try_gemm(a, 8, out).expect("gemm");
+                }
+            });
+            assert_eq!(
+                count, 0,
+                "steady-state stacked LUT decode at m = 8, {threads} worker(s) made \
+                 {count} heap allocations across 50 calls; expected zero"
+            );
+        });
+    }
     for m in [1usize, 8, 64] {
         let (a, out) = (&rows[..m * k], &mut out_rows[..m * n]);
         for threads in [1usize, 4] {
